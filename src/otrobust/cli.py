@@ -2,7 +2,7 @@
 
 stdout carries exactly one JSON result document; diagnostics go to stderr.
 Exit codes: 0 success, 2 input/validation error, 3 solver non-convergence
-(result still emitted), 4 internal error.
+(result still emitted), 4 internal error or solver failure (no result).
 """
 from __future__ import annotations
 
@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from . import analysis, datagen
-from .errors import OtError
+from .errors import OtError, SolverStall
 from .exact import solve_exact
 from .measures import (
     CostMatrix,
@@ -528,6 +528,9 @@ def run(argv=None) -> int:
         return EXIT_INPUT if e.code not in (0, None) else 0
     try:
         return args.fn(args)
+    except SolverStall as e:  # an OtError, but no result was emitted
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_INTERNAL
     except (OtError, FileNotFoundError, ValueError, KeyError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT

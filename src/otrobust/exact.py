@@ -1,7 +1,13 @@
 """Exact discrete optimal transport with dual potentials.
 
-The workhorse is the transportation linear program solved by HiGHS (dual
+The general path is the transportation linear program solved by HiGHS (dual
 simplex), which returns a basic optimal coupling and exact dual potentials.
+When the positive-mass supports of both measures are k atoms of mass 1/k
+each, the optimum is a permutation: :func:`linear_sum_assignment` finds it,
+and potentials come from shortest paths on the assignment's
+difference-constraint graph.  Those potentials must pass the full check
+``max_ij(u_i + v_j - c_ij) <= DUAL_FEAS_TOL``, or the instance goes to the LP,
+so every returned solution carries a checked dual certificate.
 For very small cost matrices a :class:`DenseDualEvaluator` enumerates the
 vertices of the dual polytope once per cost matrix; afterwards the optimal
 value and potentials for *any* pair of marginals are a single matrix product,
@@ -15,10 +21,10 @@ from math import comb
 
 import numpy as np
 from scipy import sparse
-from scipy.optimize import linprog
+from scipy.optimize import linear_sum_assignment, linprog
 
 from .errors import DimensionMismatch, SolverStall
-from .measures import CostMatrix, DiscreteMeasure, OtSolution
+from .measures import CostMatrix, DiscreteMeasure, OtSolution, is_uniform_mass
 
 COUPLING_EPS = 1e-12
 DUAL_FEAS_TOL = 1e-9
@@ -47,6 +53,59 @@ def _lp_transport(a: np.ndarray, b: np.ndarray, C: np.ndarray):
     return plan, y[:m], y[m:]
 
 
+def _assignment_transport(a: np.ndarray, b: np.ndarray, C: np.ndarray):
+    """Uniform n x n transport as an assignment; returns (plan, u, v).
+
+    The plan puts a_i on (i, sigma(i)) for the optimal permutation sigma.
+    With v_sigma(k) = c_k,sigma(k) - u_k, dual feasibility reads
+    u_i - u_k <= c_i,sigma(k) - c_k,sigma(k), so u is the shortest-path
+    distance from a zero source on that graph (Bellman-Ford, one vectorised
+    sweep per round).  Falls back to :func:`_lp_transport` when the sweeps
+    reach no fixpoint within n + 1 rounds or the potentials fail the dual
+    feasibility check.
+    """
+    n = C.shape[0]
+    rows, sigma = linear_sum_assignment(C)
+    matched = C[rows, sigma]
+    W = C[:, sigma].T - matched[:, None]  # W[k, i]: edge k -> i
+    u = np.zeros(n)
+    for _ in range(n + 1):
+        nxt = (u[:, None] + W).min(axis=0)  # W[i, i] = 0 keeps u_i itself
+        if np.array_equal(nxt, u):
+            break
+        u = nxt
+    else:
+        return _lp_transport(a, b, C)
+    v = np.empty(n)
+    v[sigma] = matched - u
+    if (u[:, None] + v[None, :] - C).max() > DUAL_FEAS_TOL:
+        return _lp_transport(a, b, C)
+    plan = np.zeros((n, n))
+    plan[rows, sigma] = a
+    return plan, u, v
+
+
+def _full_potentials(C, a, ia, jb, u, v):
+    """(phi, psi) on all atoms from support duals u_i + v_j <= c_ij.
+
+    Maps to the convention phi_i - psi_j <= c_ij, imputes zero-mass atoms
+    with the tightest dual-feasible value, and normalises against a.
+    """
+    m, n = C.shape
+    phi = np.empty(m)
+    psi = np.empty(n)
+    phi[ia] = u
+    psi[jb] = -v
+    if jb.size < n:
+        # zero-mass columns: tightest feasible psi_j >= max_i phi_i - c_ij
+        rest = np.setdiff1d(np.arange(n), jb)
+        psi[rest] = np.max(phi[ia, None] - C[np.ix_(ia, rest)], axis=0)
+    if ia.size < m:
+        rest = np.setdiff1d(np.arange(m), ia)
+        phi[rest] = np.min(C[np.ix_(rest, jb)] + psi[None, jb], axis=1)
+    return _normalize_potentials(phi, psi, a)
+
+
 def _normalize_potentials(phi, psi, a):
     """Shift the pair so the mass-weighted mean of phi over supp(a) is 0."""
     shift = float(phi @ a) / max(float(a.sum()), 1e-300)
@@ -60,8 +119,10 @@ def solve_exact(
 
     Returns the optimal value, a basic optimal coupling, and dual potentials
     (phi, psi) with ``phi_i - psi_j <= c_ij`` and zero duality gap up to
-    solver precision.  Atoms with zero mass are dropped from the LP; their
-    potentials are imputed as the tightest dual-feasible value.
+    solver precision.  Atoms with zero mass are dropped from the problem;
+    their potentials are imputed as the tightest dual-feasible value.
+    Uniform equal-size supports are solved as an assignment, everything
+    else by the transportation LP.
     """
     C = cost.entries
     if C.shape != (mu.n, nu.n):
@@ -72,22 +133,12 @@ def solve_exact(
     ia = np.flatnonzero(a > 0)
     jb = np.flatnonzero(b > 0)
     Csub = C[np.ix_(ia, jb)]
-    plan_sub, u_sub, v_sub = _lp_transport(a[ia], b[jb], Csub)
-
-    # duals come out of HiGHS as u_i + v_j <= c_ij with value u.a + v.b;
-    # map to the (phi, psi) convention phi_i - psi_j <= c_ij.
-    phi = np.empty(mu.n)
-    psi = np.empty(nu.n)
-    phi[ia] = u_sub
-    psi[jb] = -v_sub
-    if jb.size < nu.n:
-        # zero-mass columns: tightest feasible psi_j >= max_i phi_i - c_ij
-        rest = np.setdiff1d(np.arange(nu.n), jb)
-        psi[rest] = np.max(phi[ia, None] - C[np.ix_(ia, rest)], axis=0)
-    if ia.size < mu.n:
-        rest = np.setdiff1d(np.arange(mu.n), ia)
-        phi[rest] = np.min(C[np.ix_(rest, jb)] + psi[None, jb], axis=1)
-    phi, psi = _normalize_potentials(phi, psi, a)
+    if (ia.size == jb.size and is_uniform_mass(a[ia])
+            and is_uniform_mass(b[jb])):
+        plan_sub, u_sub, v_sub = _assignment_transport(a[ia], b[jb], Csub)
+    else:
+        plan_sub, u_sub, v_sub = _lp_transport(a[ia], b[jb], Csub)
+    phi, psi = _full_potentials(C, a, ia, jb, u_sub, v_sub)
 
     triplets = []
     value = 0.0

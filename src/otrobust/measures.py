@@ -34,6 +34,11 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def is_uniform_mass(mass: np.ndarray, tol: float = 1e-12) -> bool:
+    """Every entry equals 1/len(mass) to within tol."""
+    return bool(np.all(np.abs(mass - 1.0 / mass.size) <= tol))
+
+
 @dataclass(frozen=True)
 class DiscreteMeasure:
     """Empirical probability measure: n points in R^d with non-negative mass."""
@@ -67,7 +72,7 @@ class DiscreteMeasure:
         return self.points.shape[1]
 
     def is_uniform(self, tol: float = 1e-12) -> bool:
-        return bool(np.all(np.abs(self.mass - 1.0 / self.n) <= tol))
+        return is_uniform_mass(self.mass, tol)
 
 
 @dataclass(frozen=True)

@@ -20,8 +20,8 @@ import numpy as np
 from . import _zoom
 from .errors import InstanceTooLarge, NonUniformInput
 from .exact import (
+    _full_potentials,
     _lp_transport,
-    _normalize_potentials,
     make_evaluator,
     solve_exact,
 )
@@ -84,20 +84,10 @@ class _Objective:
         C = self.C
         ia = np.flatnonzero(a > 0)
         jb = np.flatnonzero(b > 0)
-        plan, u, v = _lp_transport(a[ia], b[jb], C[np.ix_(ia, jb)])
-        phi = np.empty(self.m)
-        psi = np.empty(self.n)
-        phi[ia] = u
-        psi[jb] = -v
-        if jb.size < self.n:
-            rest = np.setdiff1d(np.arange(self.n), jb)
-            psi[rest] = np.max(phi[ia, None] - C[np.ix_(ia, rest)], axis=0)
-        if ia.size < self.m:
-            rest = np.setdiff1d(np.arange(self.m), ia)
-            phi[rest] = np.min(C[np.ix_(rest, jb)] + psi[None, jb], axis=1)
-        phi, psi = _normalize_potentials(phi, psi, a)
-        value = float((plan * C[np.ix_(ia, jb)]).sum())
-        return value, phi, psi
+        Csub = C[np.ix_(ia, jb)]
+        plan, u, v = _lp_transport(a[ia], b[jb], Csub)
+        phi, psi = _full_potentials(C, a, ia, jb, u, v)
+        return float((plan * Csub).sum()), phi, psi
 
     def batch_values(self, WX: np.ndarray, WY: np.ndarray) -> np.ndarray:
         if self.evaluator is not None:

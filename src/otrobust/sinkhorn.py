@@ -6,11 +6,16 @@ the correctness reference everywhere else in the package.
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import DimensionMismatch, DomainError
-from .exact import COUPLING_EPS, _normalize_potentials
+from .exact import COUPLING_EPS, _full_potentials
 from .measures import CostMatrix, DiscreteMeasure, OtSolution
+
+
+def logsumexp(M, axis):
+    """log(sum(exp(M), axis)), shifted by the maximum along axis."""
+    mx = M.max(axis=axis, keepdims=True)
+    return np.log(np.exp(M - mx).sum(axis=axis)) + np.squeeze(mx, axis=axis)
 
 
 def _round_to_marginals(P, a, b):
@@ -48,8 +53,9 @@ def solve_sinkhorn(
     Iterates in the log domain with a geometric epsilon schedule (from the
     cost scale down to the target), then rounds the plan back onto the exact
     marginal polytope.  ``value`` is the transport cost of the rounded plan;
-    ``gap`` is the pre-rounding l1 marginal residual.  If the residual still
-    exceeds tol at max_iter, the best iterate is returned with
+    ``gap`` is the pre-rounding l1 residual of the row marginals (the
+    column marginals are exact after each column update).  If the residual
+    still exceeds tol at max_iter, the best iterate is returned with
     ``converged=False`` rather than raising.
     """
     if epsilon <= 0:
@@ -82,19 +88,18 @@ def solve_sinkhorn(
     for level, eps in enumerate(schedule):
         last = level == len(schedule) - 1
         budget = max_iter if last else 50
+        lse_r = logsumexp((f[:, None] + g[None, :] - Cs) / eps, axis=1)
         for _ in range(budget):
             it += 1
-            M = (f[:, None] + g[None, :] - Cs) / eps
-            f = f + eps * (la - logsumexp(M, axis=1))
+            f = f + eps * (la - lse_r)
             M = (f[:, None] + g[None, :] - Cs) / eps
             g = g + eps * (lb - logsumexp(M, axis=0))
+            # the columns are exact after the g-update; the rows' log-sums
+            # give the residual here and the next f-update
+            M = (f[:, None] + g[None, :] - Cs) / eps
+            lse_r = logsumexp(M, axis=1)
             if it % 10 == 0 or last:
-                M = (f[:, None] + g[None, :] - Cs) / eps
-                P = np.exp(M)
-                residual = float(
-                    np.abs(P.sum(axis=1) - a).sum()
-                    + np.abs(P.sum(axis=0) - b).sum()
-                )
+                residual = float(np.abs(np.exp(lse_r) - a).sum())
                 if residual <= tol:
                     break
             if it >= max_iter:
@@ -107,17 +112,7 @@ def solve_sinkhorn(
     P = _round_to_marginals(P, a, b)
     value = float((P * Cs).sum())
 
-    phi = np.empty(mu.n)
-    psi = np.empty(nu.n)
-    phi[ia] = f
-    psi[jb] = -g
-    if jb.size < nu.n:
-        rest = np.setdiff1d(np.arange(nu.n), jb)
-        psi[rest] = np.max(phi[ia, None] - C[np.ix_(ia, rest)], axis=0)
-    if ia.size < mu.n:
-        rest = np.setdiff1d(np.arange(mu.n), ia)
-        phi[rest] = np.min(C[np.ix_(rest, jb)] + psi[None, jb], axis=1)
-    phi, psi = _normalize_potentials(phi, psi, a_full)
+    phi, psi = _full_potentials(C, a_full, ia, jb, f, g)
 
     triplets = []
     for ii, jj in zip(*np.nonzero(P > COUPLING_EPS)):

@@ -313,7 +313,7 @@ def test_criterion_07_rho_sweep_and_elbow():
     )
 
 
-def test_criterion_08_metric_properties():
+def test_criterion_08_metric_properties(tmp_path):
     t0 = time.time()
     rng = np.random.default_rng(23)
     # non-negativity and identity
@@ -339,17 +339,23 @@ def test_criterion_08_metric_properties():
         rel = abs(v1 - v2) / max(1e-12, abs(v1))
         assert rel <= 1e-6, (v1, v2)
         worst_sym = max(worst_sym, rel)
-    # triangle-inequality counterexample, stored as a fixture
+    # triangle-inequality counterexample, checked against the stored fixture
     viol = find_triangle_violation(rho=0.25, trials=200, seed=0)
     assert viol is not None and viol["margin"] > 1e-3
-    os.makedirs(FIXTURE_DIR, exist_ok=True)
-    with open(os.path.join(FIXTURE_DIR, "triangle_violation.json"), "w") as fh:
-        json.dump(viol, fh, indent=2)
+    out = tmp_path / "triangle_violation.json"
+    out.write_text(json.dumps(viol, indent=2))
+    with open(os.path.join(FIXTURE_DIR, "triangle_violation.json")) as fh:
+        stored = json.load(fh)
+    fresh = json.loads(out.read_text())
+    for key in ("rho", "points_a", "points_b", "points_c"):
+        assert fresh[key] == stored[key], key
+    for key in ("d_ab", "d_bc", "d_ac", "margin"):
+        assert fresh[key] == pytest.approx(stored[key], rel=1e-9), key
     print(
         f"\n[criterion 8] PASS metric properties: identity dev {worst_id:.1e}"
         f" <= 1e-9 (100 measures), symmetry rel dev {worst_sym:.1e} <= 1e-6 "
-        f"(50 pairs), triangle violation margin {viol['margin']:.4f} stored, "
-        f"{time.time() - t0:.1f}s"
+        f"(50 pairs), triangle violation margin {viol['margin']:.4f} "
+        f"matches the fixture, {time.time() - t0:.1f}s"
     )
 
 

@@ -3,7 +3,9 @@ import json
 import numpy as np
 import pytest
 
+from otrobust import cli
 from otrobust.cli import read_measure, run, write_measure_csv
+from otrobust.errors import SolverStall
 from otrobust.datagen import gaussian_ring
 
 
@@ -46,6 +48,18 @@ def test_bad_header_exit_code(tmp_path, capsys):
     code = run(["ot", str(p), str(p)])
     assert code == 2
     assert "error" in capsys.readouterr().err
+
+
+def test_solver_stall_exit_code(clouds, monkeypatch, capsys):
+    def stall(*args):
+        raise SolverStall("transport LP failed")
+
+    monkeypatch.setattr(cli, "solve_exact", stall)
+    a, b = clouds
+    assert run(["ot", a, b]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "transport LP failed" in captured.err
 
 
 def test_ot_same_cloud_zero(clouds, capsys):

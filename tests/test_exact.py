@@ -2,10 +2,14 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from otrobust import exact
 from otrobust.errors import DimensionMismatch
 from otrobust.exact import (
     DenseDualEvaluator,
+    _lp_transport,
     dual_vertex_budget,
     duality_gap,
     make_evaluator,
@@ -46,6 +50,19 @@ def random_instance(rng, m, n):
     nu = make_measure(rng.random((n, 2)))
     C = CostMatrix(rng.random((m, n)))
     return mu, nu, C
+
+
+@pytest.fixture()
+def lp_calls(monkeypatch):
+    """Counts the transport-LP calls solve_exact makes."""
+    calls = []
+
+    def counting(a, b, C):
+        calls.append(C.shape)
+        return _lp_transport(a, b, C)
+
+    monkeypatch.setattr(exact, "_lp_transport", counting)
+    return calls
 
 
 def test_identical_measures_zero_value():
@@ -120,11 +137,12 @@ def test_permutation_invariance():
     assert v1 == pytest.approx(v2, abs=1e-10)
 
 
-def test_zero_mass_atoms_dropped_and_imputed():
+def test_zero_mass_atoms_dropped_and_imputed(lp_calls):
     mu = make_measure([[0.0], [5.0], [1.0]], mass=[0.5, 0.0, 0.5])
     nu = make_measure([[0.0], [1.0]], mass=[0.5, 0.5])
     C = cost_matrix(mu, nu)
     sol = solve_exact(mu, nu, C)
+    assert lp_calls == []  # uniform 2 x 2 support: solved as an assignment
     assert sol.value == pytest.approx(0.0, abs=1e-12)
     # imputed potential is still dual feasible
     slack = sol.potential_x[:, None] - sol.potential_y[None, :] - C.entries
@@ -181,3 +199,55 @@ def test_make_evaluator_budget():
     assert make_evaluator(np.ones((4, 4))) is not None
     assert make_evaluator(np.ones((30, 30))) is None
     assert dual_vertex_budget(4, 4) == 11440
+
+
+@given(
+    n=st.integers(min_value=1, max_value=12),
+    kind=st.sampled_from(["random", "ties", "identical"]),
+    seed=st.integers(min_value=0, max_value=10**6),
+)
+@settings(max_examples=150, deadline=None)
+def test_assignment_path_is_certified(n, kind, seed):
+    rng = np.random.default_rng(seed)
+    mu = make_measure(rng.random((n, 2)))
+    nu = mu if kind == "identical" else make_measure(rng.random((n, 2)))
+    if kind == "random":
+        C = CostMatrix(rng.random((n, n)) * 10.0)
+    elif kind == "ties":
+        C = CostMatrix(rng.integers(0, 3, (n, n)).astype(float))
+    else:
+        C = cost_matrix(mu, nu)
+    sol = solve_exact(mu, nu, C)
+    plan, _, _ = _lp_transport(mu.mass, nu.mass, C.entries)
+    lp_value = float((plan * C.entries).sum())
+    assert sol.value == pytest.approx(lp_value, rel=1e-9, abs=1e-12)
+    slack = sol.potential_x[:, None] - sol.potential_y[None, :] - C.entries
+    assert slack.max() <= 1e-9
+    for i, j, _ in sol.coupling:
+        assert abs(slack[i, j]) <= 1e-9
+    P = sol.coupling_dense()
+    np.testing.assert_allclose(P.sum(axis=1), mu.mass, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(P.sum(axis=0), nu.mass, rtol=0, atol=1e-12)
+    assert sol.gap <= 1e-12 * max(1.0, sol.value)
+
+
+def test_uniform_square_skips_lp(lp_calls):
+    rng = np.random.default_rng(30)
+    mu, nu, C = random_instance(rng, 7, 7)
+    solve_exact(mu, nu, C)
+    assert lp_calls == []
+
+
+def test_non_uniform_masses_use_lp(lp_calls):
+    rng = np.random.default_rng(31)
+    mu = make_measure(rng.random((5, 2)), [0.3, 0.1, 0.2, 0.2, 0.2])
+    nu = make_measure(rng.random((5, 2)))
+    solve_exact(mu, nu, cost_matrix(mu, nu))
+    assert lp_calls == [(5, 5)]
+
+
+def test_unequal_sizes_use_lp(lp_calls):
+    rng = np.random.default_rng(32)
+    mu, nu, C = random_instance(rng, 4, 6)
+    solve_exact(mu, nu, C)
+    assert lp_calls == [(4, 6)]

@@ -4,13 +4,25 @@ import pytest
 from otrobust.errors import DomainError
 from otrobust.exact import solve_exact
 from otrobust.measures import CostMatrix, cost_matrix, make_measure
-from otrobust.sinkhorn import solve_sinkhorn
+from otrobust.sinkhorn import logsumexp, solve_sinkhorn
 
 
 def test_rejects_bad_epsilon():
     mu = make_measure([[0.0]])
     with pytest.raises(DomainError):
         solve_sinkhorn(mu, mu, cost_matrix(mu, mu), epsilon=0.0)
+
+
+def test_logsumexp_matches_scipy():
+    from scipy.special import logsumexp as reference
+
+    rng = np.random.default_rng(1)
+    M = rng.normal(0.0, 300.0, (7, 5))
+    M[4, 1] = -np.inf
+    for axis in (0, 1):
+        np.testing.assert_allclose(
+            logsumexp(M, axis), reference(M, axis=axis), rtol=1e-13
+        )
 
 
 def test_identical_measures_near_zero():
