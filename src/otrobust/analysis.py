@@ -8,8 +8,6 @@ counterexample search) for the robust distance.
 """
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -120,6 +118,7 @@ class RhoCurve:
     rho_grid: np.ndarray
     values: np.ndarray
     elbow_index: Optional[int] = None
+    converged: bool = True  # every grid point's solve certified its gap
 
     def __post_init__(self):
         g = np.asarray(self.rho_grid, dtype=float).ravel()
@@ -134,18 +133,6 @@ class RhoCurve:
         object.__setattr__(self, "values", v)
 
 
-def _sweep_threads() -> int:
-    # the env var caps parallelism; the default is the sequential chain,
-    # whose warm starts make it faster in practice than GIL-bound threads
-    env = os.environ.get("ROBUST_OT_THREADS", "")
-    if env.strip():
-        try:
-            return max(1, min(int(env), os.cpu_count() or 1))
-        except ValueError:
-            pass
-    return 1
-
-
 def sweep_rho(
     mu: DiscreteMeasure,
     nu: DiscreteMeasure,
@@ -153,21 +140,19 @@ def sweep_rho(
     rho_grid: Sequence[float],
     max_outer_iter: int = 60,
     rel_tol: float = 1e-5,
-    threads: Optional[int] = None,
 ) -> RhoCurve:
     """One-sided robust value along an ascending rho grid.
 
-    Grid points are first solved independently (parallel across up to
-    ROBUST_OT_THREADS workers); a sequential pass then re-solves any point
-    that came out above its predecessor, warm-started from the predecessor's
-    weights.  Warm starts are feasible because the ball only grows with rho,
-    so the repaired curve is non-increasing by construction.
+    Grid points are solved in order, each warm-started from the previous
+    point's weights; a second pass re-solves any point that came out above
+    its predecessor, again from the predecessor's weights.  Warm starts are
+    feasible because the ball only grows with rho, so the repaired curve is
+    non-increasing by construction.  ``converged`` is true when every
+    point's final solve certified its gap.
     """
     grid = np.asarray(list(rho_grid), dtype=float).ravel()
     if np.any(np.diff(grid) <= 0) or np.any(grid < 0):
         raise DomainError("rho grid must be ascending and non-negative")
-    if threads is None:
-        threads = _sweep_threads()
 
     def solve_at(rho, init=None):
         params = RobustParams(
@@ -176,18 +161,14 @@ def sweep_rho(
         )
         return solve_robust(mu, nu, cost, params, initial_weights=init)
 
-    if threads > 1 and grid.size > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            sols = list(pool.map(solve_at, grid))
-    else:
-        # warm-started chain: the ball grows with rho, so the previous
-        # optimum is always feasible and usually nearly optimal
-        sols = []
-        init = None
-        for r in grid:
-            s = solve_at(r, init=init)
-            sols.append(s)
-            init = (s.w_x.w, np.ones(nu.n))
+    # warm-started chain: the ball grows with rho, so the previous
+    # optimum is always feasible and usually nearly optimal
+    sols = []
+    init = None
+    for r in grid:
+        s = solve_at(r, init=init)
+        sols.append(s)
+        init = (s.w_x.w, np.ones(nu.n))
 
     values = [s.value for s in sols]
     for i in range(1, grid.size):
@@ -198,7 +179,8 @@ def sweep_rho(
                 sols[i] = redo
                 values[i] = redo.value
             values[i] = min(values[i], values[i - 1])
-    return RhoCurve(rho_grid=grid, values=np.array(values))
+    return RhoCurve(rho_grid=grid, values=np.array(values),
+                    converged=all(s.converged for s in sols))
 
 
 @dataclass(frozen=True)

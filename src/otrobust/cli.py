@@ -249,11 +249,11 @@ def _cmd_sweep(args) -> int:
         "weights_y": None,
         "coupling": None,
         "trace": None,
-        "converged": True,
+        "converged": curve.converged,
         "seed": None,
     }
     _emit(doc, args)
-    return EXIT_OK
+    return EXIT_OK if curve.converged else EXIT_NOCONV
 
 
 def _cmd_bound(args) -> int:

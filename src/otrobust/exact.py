@@ -1,13 +1,19 @@
 """Exact discrete optimal transport with dual potentials.
 
-The general path is the transportation linear program solved by HiGHS (dual
-simplex), which returns a basic optimal coupling and exact dual potentials.
+The general path is the transportation linear program, solved by sparse arc
+pricing: HiGHS solves the LP on a subset of arcs (the few cheapest of each
+row and column, a north-west-corner plan that keeps the subset feasible, and
+optionally the support of a previous plan), every m x n arc is priced by its
+reduced cost ``c_ij - u_i - v_j``, and the most negative arc of each
+violating row and column joins the subset until none is left.  The result is
+a basic optimal coupling with exact dual potentials.
 When the positive-mass supports of both measures are k atoms of mass 1/k
 each, the optimum is a permutation: :func:`linear_sum_assignment` finds it,
 and potentials come from shortest paths on the assignment's
-difference-constraint graph.  Those potentials must pass the full check
-``max_ij(u_i + v_j - c_ij) <= DUAL_FEAS_TOL``, or the instance goes to the LP,
-so every returned solution carries a checked dual certificate.
+difference-constraint graph, falling back to the LP if they fail.
+Both paths end with the same full check
+``max_ij(u_i + v_j - c_ij) <= DUAL_FEAS_TOL * max(1, max|c_ij|)`` over all
+arcs, so every returned solution carries a checked dual certificate.
 For very small cost matrices a :class:`DenseDualEvaluator` enumerates the
 vertices of the dual polytope once per cost matrix; afterwards the optimal
 value and potentials for *any* pair of marginals are a single matrix product,
@@ -18,6 +24,7 @@ from __future__ import annotations
 
 from itertools import combinations
 from math import comb
+from typing import Optional
 
 import numpy as np
 from scipy import sparse
@@ -28,29 +35,85 @@ from .measures import CostMatrix, DiscreteMeasure, OtSolution, is_uniform_mass
 
 COUPLING_EPS = 1e-12
 DUAL_FEAS_TOL = 1e-9
+PRICING_K = 5  # cheapest arcs per row and per column in the first LP
+_HIGHS_OPTIONS = {"primal_feasibility_tolerance": 1e-10,
+                  "dual_feasibility_tolerance": 1e-10}
 
 
-def _lp_transport(a: np.ndarray, b: np.ndarray, C: np.ndarray):
-    """Solve the transportation LP; returns (plan, u, v)."""
+def dual_feas_tol(C: np.ndarray) -> float:
+    """Dual feasibility tolerance for cost matrix C: ``DUAL_FEAS_TOL``
+    relative to the largest cost, absolute below 1 (one rounding step of a
+    cost of 1e10 is already about 2e-6)."""
+    return DUAL_FEAS_TOL * max(1.0, float(np.abs(C).max(initial=0.0)))
+
+
+def _lp_transport(a: np.ndarray, b: np.ndarray, C: np.ndarray,
+                  support: Optional[np.ndarray] = None):
+    """Solve the transportation LP by sparse arc pricing; returns (plan, u, v).
+
+    HiGHS solves the LP restricted to a set of arcs: the ``PRICING_K``
+    cheapest of each row and each column, a north-west-corner plan (so the
+    restricted LP is feasible), and the optional boolean ``support`` mask,
+    typically the previous plan of a nearby instance.  All m x n arcs are
+    then priced by ``c_ij - u_i - v_j``; the most negative arc of each
+    violating row and column joins the set, until
+    ``max_ij(u_i + v_j - c_ij) <= dual_feas_tol(C)``.  When a round finds
+    violations only on arcs already in the set, the LP is re-solved on all
+    arcs; if that is still not certified, :class:`SolverStall` is raised.
+    ``b`` is rescaled to the total of ``a`` first, so that masses that sum
+    to 1 only to ``MASS_TOL`` still give a consistent equality system.
+    """
     m, n = C.shape
-    A = sparse.vstack(
-        [
-            sparse.kron(sparse.eye(m), np.ones((1, n))),
-            sparse.kron(np.ones((1, m)), sparse.eye(n)),
-        ]
-    ).tocsc()
-    res = linprog(
-        C.ravel(),
-        A_eq=A,
-        b_eq=np.concatenate([a, b]),
-        bounds=(0, None),
-        method="highs",
-    )
-    if res.status != 0:
-        raise SolverStall(f"transport LP failed: {res.message}")
-    plan = res.x.reshape(m, n)
-    y = res.eqlin.marginals
-    return plan, y[:m], y[m:]
+    tol = dual_feas_tol(C)
+    b = b * (a.sum() / b.sum())
+    arcs = np.full((m, n), min(m, n) <= PRICING_K)
+    if not arcs.all():
+        for axis in (0, 1):
+            cheap = np.argpartition(C, PRICING_K - 1, axis=axis)
+            np.put_along_axis(arcs, cheap.take(range(PRICING_K), axis=axis),
+                              True, axis=axis)
+    # north-west corner: walk the merged cumulative masses from (0, 0)
+    cuts = np.concatenate([np.cumsum(a)[:-1], np.cumsum(b)[:-1]])
+    down = (np.arange(cuts.size) < m - 1)[np.argsort(cuts, kind="stable")]
+    arcs[np.r_[0, np.cumsum(down)], np.r_[0, np.cumsum(~down)]] = True
+    if support is not None:
+        arcs |= support
+    b_eq = np.concatenate([a, b])
+    while True:
+        rows, cols = np.nonzero(arcs)
+        k = rows.size
+        A = sparse.csc_matrix(
+            (np.ones(2 * k), (np.concatenate([rows, m + cols]),
+                              np.tile(np.arange(k), 2))),
+            shape=(m + n, k),
+        )
+        res = linprog(
+            C[rows, cols], A_eq=A, b_eq=b_eq, bounds=(0, None),
+            method="highs", options=_HIGHS_OPTIONS,
+        )
+        if res.status != 0:
+            raise SolverStall(f"transport LP failed: {res.message}")
+        y = res.eqlin.marginals
+        u, v = y[:m], y[m:]
+        R = C - u[:, None] - v[None, :]
+        if R.min() >= -tol:
+            break
+        new = np.zeros_like(arcs)
+        bad = np.flatnonzero(R.min(axis=1) < -tol)
+        new[bad, R[bad].argmin(axis=1)] = True
+        bad = np.flatnonzero(R.min(axis=0) < -tol)
+        new[R[:, bad].argmin(axis=0), bad] = True
+        new &= ~arcs
+        if not new.any():
+            if arcs.all():
+                raise SolverStall(
+                    f"transport LP duals violate feasibility by {-R.min():.2e}"
+                )
+            new = ~arcs  # duals off on arcs already priced in: use them all
+        arcs |= new
+    plan = np.zeros((m, n))
+    plan[rows, cols] = res.x
+    return plan, u, v
 
 
 def _assignment_transport(a: np.ndarray, b: np.ndarray, C: np.ndarray):
@@ -78,7 +141,7 @@ def _assignment_transport(a: np.ndarray, b: np.ndarray, C: np.ndarray):
         return _lp_transport(a, b, C)
     v = np.empty(n)
     v[sigma] = matched - u
-    if (u[:, None] + v[None, :] - C).max() > DUAL_FEAS_TOL:
+    if (u[:, None] + v[None, :] - C).max() > dual_feas_tol(C):
         return _lp_transport(a, b, C)
     plan = np.zeros((n, n))
     plan[rows, sigma] = a
@@ -104,6 +167,19 @@ def _full_potentials(C, a, ia, jb, u, v):
         rest = np.setdiff1d(np.arange(m), ia)
         phi[rest] = np.min(C[np.ix_(rest, jb)] + psi[None, jb], axis=1)
     return _normalize_potentials(phi, psi, a)
+
+
+def _coupling(C, ia, jb, plan):
+    """(triplets, value): the plan's entries above COUPLING_EPS as
+    ``(i, j, mass)`` in full index space, and their cost under C."""
+    triplets = []
+    value = 0.0
+    for ii, jj in zip(*np.nonzero(plan > COUPLING_EPS)):
+        i, j = int(ia[ii]), int(jb[jj])
+        pij = float(plan[ii, jj])
+        triplets.append((i, j, pij))
+        value += pij * C[i, j]
+    return tuple(triplets), float(value)
 
 
 def _normalize_potentials(phi, psi, a):
@@ -139,19 +215,12 @@ def solve_exact(
     else:
         plan_sub, u_sub, v_sub = _lp_transport(a[ia], b[jb], Csub)
     phi, psi = _full_potentials(C, a, ia, jb, u_sub, v_sub)
-
-    triplets = []
-    value = 0.0
-    for ii, jj in zip(*np.nonzero(plan_sub > COUPLING_EPS)):
-        i, j = int(ia[ii]), int(jb[jj])
-        pij = float(plan_sub[ii, jj])
-        triplets.append((i, j, pij))
-        value += pij * C[i, j]
+    triplets, value = _coupling(C, ia, jb, plan_sub)
     dual_value = float(phi @ a - psi @ b)
     gap = abs(value - dual_value)
     return OtSolution(
-        value=float(value),
-        coupling=tuple(triplets),
+        value=value,
+        coupling=triplets,
         potential_x=phi,
         potential_y=psi,
         gap=gap,

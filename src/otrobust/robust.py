@@ -20,21 +20,20 @@ import numpy as np
 from . import _zoom
 from .errors import InstanceTooLarge, NonUniformInput
 from .exact import (
+    COUPLING_EPS,
+    _coupling,
     _full_potentials,
     _lp_transport,
     make_evaluator,
     solve_exact,
 )
-from .measures import (
-    CostMatrix,
-    DiscreteMeasure,
-    WeightVector,
-    reweight,
-    weight_radius,
-)
+from .measures import CostMatrix, DiscreteMeasure, WeightVector, weight_radius
 from .weights import WeightSubproblem, project_simplex_ball, solve_weight_socp
 
 _STAGNATION_RUNS = 10
+# the best iterate's plan stays the coupling when sanitising moves no
+# scaled weight by more than this
+_PLAN_WEIGHT_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -66,12 +65,19 @@ class RobustSolution:
 
 
 class _Objective:
-    """Exact OT value and dual potentials as a function of scaled weights."""
+    """Exact OT value and dual potentials as a function of scaled weights.
+
+    On the LP path each call keeps its plan as ``coupling`` (triplets in full
+    index space) and passes the previous plan's support to the LP as its
+    warm start; the state lives only as long as one solve.
+    """
 
     def __init__(self, C: np.ndarray, m: int, n: int):
         self.C = C
         self.m, self.n = m, n
         self.evaluator = make_evaluator(C)
+        self.coupling = None
+        self.support = None
 
     def __call__(self, wx: np.ndarray, wy: np.ndarray):
         a = wx / self.m
@@ -84,10 +90,14 @@ class _Objective:
         C = self.C
         ia = np.flatnonzero(a > 0)
         jb = np.flatnonzero(b > 0)
-        Csub = C[np.ix_(ia, jb)]
-        plan, u, v = _lp_transport(a[ia], b[jb], Csub)
+        block = np.ix_(ia, jb)
+        warm = None if self.support is None else self.support[block]
+        plan, u, v = _lp_transport(a[ia], b[jb], C[block], support=warm)
+        self.coupling, value = _coupling(C, ia, jb, plan)
+        self.support = np.zeros(C.shape, dtype=bool)
+        self.support[block] = plan > COUPLING_EPS
         phi, psi = _full_potentials(C, a, ia, jb, u, v)
-        return float((plan * Csub).sum()), phi, psi
+        return value, phi, psi
 
     def batch_values(self, WX: np.ndarray, WY: np.ndarray) -> np.ndarray:
         if self.evaluator is not None:
@@ -237,7 +247,10 @@ def solve_robust(
     Alternates exact OT solves (providing dual potentials) with weight
     subproblem solves on each relaxed side, per ``params.update_rule``.
     The returned value carries a conditional-gradient optimality gap; the
-    trace is the running best objective, non-increasing by construction.
+    trace is the running best objective, non-increasing by construction;
+    its last entry is the smaller of the entry before it and the returned
+    value.  The returned value is the cost of the returned coupling, whose
+    marginals are the returned weights over m and n.
     """
     if not mu.is_uniform():
         raise NonUniformInput("first measure must have uniform atom mass")
@@ -260,17 +273,21 @@ def solve_robust(
     small = objective.evaluator is not None
     best_f = np.inf
     best_wx, best_wy = wx.copy(), wy.copy()
+    best_coupling = None
     trace = []
     converged = False
     gap = np.inf
     stagnant = 0
     prev_f = None
     last_polish_f = None
+    moved = False  # the iterate changed since it was last evaluated
 
     for t in range(params.max_outer_iter):
         f, phi, psi = objective(wx, wy)
+        moved = False
         if f < best_f:
             best_f, best_wx, best_wy = f, wx.copy(), wy.copy()
+            best_coupling = objective.coupling
         trace.append(best_f)
 
         # linear-minimization oracle on each relaxed side
@@ -328,6 +345,7 @@ def solve_robust(
                 ny = np.linalg.norm(gy)
                 if ny > 0:
                     wy = project_simplex_ball(wy - (R2 * st / ny) * gy, rho2)
+        moved = True
 
         if small and (t + 1) % 5 == 0:
             pol = _polish(objective, wx.copy(), wy.copy(), R1, R2)
@@ -340,6 +358,7 @@ def solve_robust(
                 if f_pol < best_f:
                     best_f = f_pol
                     best_wx, best_wy = pol[0].copy(), pol[1].copy()
+                    best_coupling = None
                 # at a kink a single subgradient cannot certify a zero gap;
                 # two agreeing finisher solves serve as the certificate
                 if (
@@ -350,9 +369,11 @@ def solve_robust(
                     break
                 last_polish_f = f_pol
 
-    f, phi, psi = objective(wx, wy)
-    if f < best_f:
-        best_f, best_wx, best_wy = f, wx.copy(), wy.copy()
+    if moved:
+        f, phi, psi = objective(wx, wy)
+        if f < best_f:
+            best_f, best_wx, best_wy = f, wx.copy(), wy.copy()
+            best_coupling = objective.coupling
     if small and not converged:
         pol = _polish(objective, best_wx.copy(), best_wy.copy(), R1, R2)
         if pol is not None:
@@ -361,21 +382,23 @@ def solve_robust(
             )[0]
             if f_pol <= best_f:
                 best_f, best_wx, best_wy = f_pol, pol[0], pol[1]
-    if trace:
-        trace.append(min(trace[-1], best_f))
-    else:
-        trace.append(best_f)
+                best_coupling = None
 
-    best_wx = _sanitize(best_wx, R1)
-    best_wy = _sanitize(best_wy, R2)
-    wxv = WeightVector(best_wx, rho1)
-    wyv = WeightVector(best_wy, rho2)
-    final = solve_exact(reweight(mu, wxv), reweight(nu, wyv), cost)
+    wx, wy = _sanitize(best_wx, R1), _sanitize(best_wy, R2)
+    value = best_f
+    # the best LP iterate's plan is the coupling, unless the dense-dual
+    # path left no plan or sanitising moved the weights off its marginals
+    if best_coupling is None or max(
+        np.abs(wx - best_wx).max(), np.abs(wy - best_wy).max()
+    ) > _PLAN_WEIGHT_TOL:
+        value = objective._lp_eval(wx / m, wy / n)[0]
+        best_coupling = objective.coupling
+    trace.append(min(trace[-1], value) if trace else value)
     return RobustSolution(
-        value=float(best_f),
-        w_x=wxv,
-        w_y=wyv,
-        coupling=final.coupling,
+        value=value,
+        w_x=WeightVector(wx, rho1),
+        w_y=WeightVector(wy, rho2),
+        coupling=best_coupling,
         trace=tuple(trace),
         converged=converged,
         gap=float(gap),

@@ -124,6 +124,16 @@ def test_sweep_monotone_and_bounded():
     assert np.all(curve.values <= exact + 1e-8)
 
 
+def test_sweep_reports_convergence():
+    rng = np.random.default_rng(3)
+    mu = make_measure(rng.random((4, 2)))
+    nu = make_measure(rng.random((4, 2)))
+    C = cost_matrix(mu, nu)
+    grid = [0.05, 0.1, 0.2]
+    assert sweep_rho(mu, nu, C, grid).converged
+    assert not sweep_rho(mu, nu, C, grid, max_outer_iter=1).converged
+
+
 def test_elbow_hinge():
     c = RhoCurve(np.array([0.0, 0.1, 0.2, 0.3]),
                  np.array([1.0, 0.2, 0.19, 0.18]))

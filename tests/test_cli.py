@@ -7,6 +7,7 @@ from otrobust import cli
 from otrobust.cli import read_measure, run, write_measure_csv
 from otrobust.errors import SolverStall
 from otrobust.datagen import gaussian_ring
+from otrobust.measures import make_measure
 
 
 @pytest.fixture()
@@ -62,6 +63,44 @@ def test_solver_stall_exit_code(clouds, monkeypatch, capsys):
     assert "transport LP failed" in captured.err
 
 
+def test_masses_within_mass_tol_solve(tmp_path, capsys):
+    """Masses that validation accepts, rounded so that one side sums to
+    1 - 5e-10 and the other to 1 + 5e-10, still solve."""
+    rng = np.random.default_rng(8)
+    paths = []
+    for name, n, total in (("a", 7, 1 - 5e-10), ("b", 9, 1 + 5e-10)):
+        mass = rng.random(n) + 0.05
+        mass *= total / mass.sum()
+        p = tmp_path / f"{name}.csv"
+        rows = [f"{x:.17g},{y:.17g},{w:.17g}"
+                for (x, y), w in zip(rng.random((n, 2)), mass)]
+        p.write_text("x0,x1,mass\n" + "\n".join(rows) + "\n")
+        paths.append(str(p))
+    code, doc = run_json(["ot", *paths], capsys)
+    assert code == 0
+    assert doc["value"] > 0
+
+
+def test_large_coordinates_solve(tmp_path, capsys):
+    """sqeuclidean costs near 1e10 certify in ot and robust."""
+    paths = []
+    for name, seed, rot in (("a", 1, 0.0), ("b", 2, 0.5)):
+        mu = gaussian_ring(2, n_samples=6, rotation_rad=rot, seed=seed)
+        p = tmp_path / f"{name}.csv"
+        write_measure_csv(make_measure(1e5 * mu.points), str(p))
+        paths.append(str(p))
+    code, doc = run_json(["ot", *paths, "--metric", "sqeuclidean"], capsys)
+    assert code == 0
+    assert doc["value"] > 1e8
+    code, doc = run_json(
+        ["robust", *paths, "--metric", "sqeuclidean", "--rho1", "0.05",
+         "--max-iter", "20"],
+        capsys,
+    )
+    assert code in (0, 3)
+    assert doc["value"] > 0
+
+
 def test_ot_same_cloud_zero(clouds, capsys):
     a, _ = clouds
     code, doc = run_json(["ot", a, a], capsys)
@@ -111,6 +150,19 @@ def test_sweep_with_elbow(clouds, capsys):
     assert len(doc["values"]) == 5
     assert np.all(np.diff(doc["values"]) <= 1e-8)
     assert doc["elbow"] is not None
+
+
+def test_sweep_without_certificate_exits_3(clouds, monkeypatch, capsys):
+    sweep = cli.analysis.sweep_rho
+
+    def capped(*args, **kwargs):
+        return sweep(*args, max_outer_iter=1, **kwargs)
+
+    monkeypatch.setattr(cli.analysis, "sweep_rho", capped)
+    a, b = clouds
+    code, doc = run_json(["sweep", a, b, "--rho-grid", "0.05:0.2:3"], capsys)
+    assert code == 3
+    assert doc["converged"] is False
 
 
 def test_bad_grid_spec(clouds, capsys):

@@ -4,12 +4,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import sparse
+from scipy.optimize import linprog
 
 from otrobust import exact
-from otrobust.errors import DimensionMismatch
+from otrobust.errors import DimensionMismatch, SolverStall
 from otrobust.exact import (
+    COUPLING_EPS,
     DenseDualEvaluator,
     _lp_transport,
+    dual_feas_tol,
     dual_vertex_budget,
     duality_gap,
     make_evaluator,
@@ -251,3 +255,136 @@ def test_unequal_sizes_use_lp(lp_calls):
     mu, nu, C = random_instance(rng, 4, 6)
     solve_exact(mu, nu, C)
     assert lp_calls == [(4, 6)]
+
+
+def dense_lp_value(a, b, C):
+    """Reference: the transportation LP on all m x n arcs.
+
+    The tolerances are tightened from HiGHS's default 1e-7, at which the
+    optimum came out up to 1.2e-8 relative above a certified one on
+    instances with shared points.
+    """
+    m, n = C.shape
+    A = sparse.vstack([
+        sparse.kron(sparse.eye(m), np.ones((1, n))),
+        sparse.kron(np.ones((1, m)), sparse.eye(n)),
+    ])
+    res = linprog(C.ravel(), A_eq=A, b_eq=np.concatenate([a, b]),
+                  bounds=(0, None), method="highs",
+                  options={"primal_feasibility_tolerance": 1e-10,
+                           "dual_feasibility_tolerance": 1e-10})
+    assert res.status == 0
+    return res.fun
+
+
+def non_uniform_instance(rng, m, n, kind):
+    """Positive non-uniform masses and a cost of the given kind."""
+    a = rng.random(m) + 0.05
+    b = rng.random(n) + 0.05
+    if kind == "random":
+        C = rng.random((m, n)) * 10.0
+    elif kind == "ties":
+        C = rng.integers(0, 3, (m, n)).astype(float)
+    else:  # the two supports share their first min(m, n) points
+        pts = make_measure(rng.random((max(m, n), 2)))
+        C = cost_matrix(make_measure(pts.points[:m]),
+                        make_measure(pts.points[:n])).entries
+    return a / a.sum(), b / b.sum(), C
+
+
+def assert_certified(a, b, C, plan, u, v):
+    slack = u[:, None] + v[None, :] - C
+    assert slack.max() <= 1e-9
+    assert np.abs(slack[plan > 0]).max(initial=0.0) <= 1e-9
+    np.testing.assert_allclose(plan.sum(axis=1), a, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(plan.sum(axis=0), b, rtol=0, atol=1e-12)
+
+
+@given(
+    m=st.integers(min_value=1, max_value=15),
+    n=st.integers(min_value=1, max_value=15),
+    kind=st.sampled_from(["random", "ties", "identical"]),
+    seed=st.integers(min_value=0, max_value=10**6),
+)
+@settings(max_examples=150, deadline=None)
+def test_lp_transport_is_certified(m, n, kind, seed):
+    rng = np.random.default_rng(seed)
+    a, b, C = non_uniform_instance(rng, m, n, kind)
+    reference = dense_lp_value(a, b, C)
+    plan, u, v = _lp_transport(a, b, C)
+    value = float((plan * C).sum())
+    assert value == pytest.approx(reference, rel=1e-9, abs=1e-12)
+    assert_certified(a, b, C, plan, u, v)
+    # a stale warm start, the plan support of another instance, changes
+    # where pricing starts but not the answer
+    a2, b2, C2 = non_uniform_instance(rng, m, n, kind)
+    stale = _lp_transport(a2, b2, C2)[0] > COUPLING_EPS
+    plan, u, v = _lp_transport(a, b, C, support=stale)
+    assert float((plan * C).sum()) == pytest.approx(value, rel=1e-9, abs=1e-12)
+    assert_certified(a, b, C, plan, u, v)
+
+
+def test_lp_transport_never_returns_uncertified_duals(monkeypatch):
+    """Duals off on arcs already in the LP: re-solve on all arcs, then stall."""
+    shapes = []
+
+    def off_duals(c, **kwargs):
+        res = linprog(c, **kwargs)
+        shapes.append(kwargs["A_eq"].shape)
+        res.eqlin.marginals[0] += 1e-6
+        return res
+
+    monkeypatch.setattr(exact, "linprog", off_duals)
+    rng = np.random.default_rng(40)
+    a, b, C = non_uniform_instance(rng, 12, 9, "random")
+    with pytest.raises(SolverStall):
+        _lp_transport(a, b, C)
+    assert shapes[-1] == (21, 12 * 9)
+    assert all(k < 12 * 9 for _, k in shapes[:-1])
+
+
+def test_large_costs_certify():
+    """Costs near 1e10 (sqeuclidean on coordinates of order 1e5) certify at
+    a tolerance relative to the largest cost; at an absolute 1e-9 a single
+    rounding step of the reduced costs (about 2e-6) would never pass."""
+    rng = np.random.default_rng(3)
+    a = rng.random(30) + 0.05
+    b = rng.random(25) + 0.05
+    mu = make_measure(rng.uniform(0, 2e5, (30, 2)), a / a.sum())
+    nu = make_measure(rng.uniform(0, 2e5, (25, 2)), b / b.sum())
+    C = cost_matrix(mu, nu, metric="sqeuclidean").entries
+    assert C.max() > 1e10
+    tol = dual_feas_tol(C)
+    plan, u, v = _lp_transport(mu.mass, nu.mass, C)
+    assert (u[:, None] + v[None, :] - C).max() <= tol
+    value = float((plan * C).sum())
+    assert value == pytest.approx(dense_lp_value(mu.mass, nu.mass, C),
+                                  rel=1e-9)
+    sol = solve_exact(mu, nu, CostMatrix(C))
+    assert sol.value == pytest.approx(value, rel=1e-9)
+    slack = sol.potential_x[:, None] - sol.potential_y[None, :] - C
+    assert slack.max() <= tol
+    # uniform equal-size inputs take the assignment path, same check
+    ux = make_measure(mu.points[:25])
+    sol = solve_exact(ux, make_measure(nu.points), CostMatrix(C[:25]))
+    slack = sol.potential_x[:, None] - sol.potential_y[None, :] - C[:25]
+    assert slack.max() <= dual_feas_tol(C[:25])
+    assert sol.gap <= 1e-9 * sol.value
+
+
+def test_masses_off_by_rounding_solve():
+    """Masses that sum to 1 only within MASS_TOL, one side above and one
+    below, still give a consistent LP."""
+    rng = np.random.default_rng(5)
+    a = rng.random(7) + 0.05
+    b = rng.random(9) + 0.05
+    a *= (1 - 5e-10) / a.sum()
+    b *= (1 + 5e-10) / b.sum()
+    mu = make_measure(rng.random((7, 2)), a)
+    nu = make_measure(rng.random((9, 2)), b)
+    C = cost_matrix(mu, nu)
+    sol = solve_exact(mu, nu, C)
+    reference = dense_lp_value(a / a.sum(), b / b.sum(), C.entries)
+    assert sol.value == pytest.approx(reference, rel=1e-8)
+    slack = sol.potential_x[:, None] - sol.potential_y[None, :] - C.entries
+    assert slack.max() <= 1e-9

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from otrobust import robust
 from otrobust.errors import InstanceTooLarge, NonUniformInput
-from otrobust.exact import solve_exact
-from otrobust.measures import CostMatrix, cost_matrix, make_measure
+from otrobust.exact import make_evaluator, solve_exact
+from otrobust.measures import CostMatrix, cost_matrix, make_measure, weight_radius
 from otrobust.robust import (
     RobustParams,
     brute_force_robust,
@@ -164,3 +167,80 @@ def test_gap_certificate_nonnegative_at_convergence():
     sol = solve_robust(mu, nu, C, RobustParams(rho1=0.05, rho2=0.05))
     assert sol.converged
     assert sol.gap >= -1e-10
+
+
+def assert_solution_consistent(mu, nu, C, params, dense):
+    m, n = mu.n, nu.n
+    assert (make_evaluator(C.entries) is not None) == dense
+    sol = solve_robust(mu, nu, C, params)
+    P = np.zeros((m, n))
+    for i, j, v in sol.coupling:
+        P[i, j] += v
+    cost = float((P * C.entries).sum())
+    assert sol.value == pytest.approx(cost, rel=1e-9, abs=1e-12)
+    assert sol.trace[-1] == pytest.approx(sol.value, rel=1e-9, abs=1e-12)
+    np.testing.assert_allclose(P.sum(axis=1), sol.w_x.w / m, rtol=0, atol=1e-9)
+    np.testing.assert_allclose(P.sum(axis=0), sol.w_y.w / n, rtol=0, atol=1e-9)
+    for w, r, k in ((sol.w_x.w, params.rho1, m), (sol.w_y.w, params.rho2, n)):
+        assert w.min() >= 0.0
+        assert w.sum() == pytest.approx(k, abs=1e-9)
+        assert np.linalg.norm(w - 1.0) <= weight_radius(r, k) + 1e-9
+
+
+@given(
+    m=st.integers(min_value=5, max_value=8),
+    n=st.integers(min_value=5, max_value=8),
+    two_sided=st.booleans(),
+    rho=st.sampled_from([0.02, 0.1, 0.3]),
+    seed=st.integers(min_value=0, max_value=10**6),
+)
+@settings(max_examples=25, deadline=None)
+def test_lp_path_solution_is_consistent(m, n, two_sided, rho, seed):
+    rng = np.random.default_rng(seed)
+    mu = make_measure(rng.random((m, 2)))
+    nu = make_measure(rng.random((n, 2)))
+    params = RobustParams(rho1=rho, rho2=rho if two_sided else 0.0,
+                          max_outer_iter=6)
+    assert_solution_consistent(mu, nu, cost_matrix(mu, nu), params,
+                               dense=False)
+
+
+@given(
+    m=st.integers(min_value=2, max_value=4),
+    n=st.integers(min_value=2, max_value=4),
+    two_sided=st.booleans(),
+    rho=st.sampled_from([0.02, 0.1, 0.3]),
+    seed=st.integers(min_value=0, max_value=10**6),
+)
+@settings(max_examples=25, deadline=None)
+def test_dense_dual_path_solution_is_consistent(m, n, two_sided, rho, seed):
+    """The dense-dual path has no plan: value, coupling and the last trace
+    entry come from one final LP at the returned weights."""
+    rng = np.random.default_rng(seed)
+    mu = make_measure(rng.random((m, 2)))
+    nu = make_measure(rng.random((n, 2)))
+    params = RobustParams(rho1=rho, rho2=rho if two_sided else 0.0,
+                          max_outer_iter=6)
+    assert_solution_consistent(mu, nu, cost_matrix(mu, nu), params,
+                               dense=True)
+
+
+def test_lp_path_warm_starts_and_certifies_every_call(monkeypatch):
+    calls = []
+    lp = robust._lp_transport
+
+    def checked(a, b, C, support=None):
+        plan, u, v = lp(a, b, C, support=support)
+        calls.append((support is not None,
+                      float((u[:, None] + v[None, :] - C).max())))
+        return plan, u, v
+
+    monkeypatch.setattr(robust, "_lp_transport", checked)
+    rng = np.random.default_rng(12)
+    mu = make_measure(rng.random((12, 2)))
+    nu = make_measure(rng.random((10, 2)))
+    solve_robust(mu, nu, cost_matrix(mu, nu),
+                 RobustParams(rho1=0.1, rho2=0.05, max_outer_iter=10))
+    assert len(calls) > 2
+    assert not calls[0][0] and all(warm for warm, _ in calls[1:])
+    assert max(slack for _, slack in calls) <= 1e-9
