@@ -281,9 +281,13 @@ def solve_robust(
     prev_f = None
     last_polish_f = None
     moved = False  # the iterate changed since it was last evaluated
+    evaluated = None  # (f, phi, psi) already solved at the current iterate
 
     for t in range(params.max_outer_iter):
-        f, phi, psi = objective(wx, wy)
+        if evaluated is None:
+            evaluated = objective(wx, wy)
+        f, phi, psi = evaluated
+        evaluated = None
         moved = False
         if f < best_f:
             best_f, best_wx, best_wy = f, wx.copy(), wy.copy()
@@ -323,11 +327,12 @@ def solve_robust(
             wx = wx + eta * (wx_star - wx)
             wy = wy + eta * (wy_star - wy)
         elif rule == "direct":
-            f_star = objective.batch_values(
-                wx_star[None, :], wy_star[None, :]
-            )[0]
-            if f_star <= f:
+            at_star = objective(wx_star, wy_star)
+            # the first damped step (eta = 1) is the oracle point too; its
+            # evaluation then serves the next iteration
+            if at_star[0] <= f or eta == 1.0:
                 wx, wy = wx_star, wy_star
+                evaluated = at_star
             else:
                 # literal alternation would overshoot: damp the step so the
                 # objective cannot increase
@@ -355,6 +360,7 @@ def solve_robust(
                 )[0]
                 if f_pol <= min(f, best_f):
                     wx, wy = pol
+                    evaluated = None
                 if f_pol < best_f:
                     best_f = f_pol
                     best_wx, best_wy = pol[0].copy(), pol[1].copy()
@@ -370,7 +376,7 @@ def solve_robust(
                 last_polish_f = f_pol
 
     if moved:
-        f, phi, psi = objective(wx, wy)
+        f = (objective(wx, wy) if evaluated is None else evaluated)[0]
         if f < best_f:
             best_f, best_wx, best_wy = f, wx.copy(), wy.copy()
             best_coupling = objective.coupling
@@ -424,15 +430,18 @@ def solve_robust_one_sided(
     nu: DiscreteMeasure,
     cost: CostMatrix,
     rho: float,
-    **kwargs,
+    *,
+    max_outer_iter: int = RobustParams.max_outer_iter,
+    rel_tol: float = RobustParams.rel_tol,
+    update_rule: str = RobustParams.update_rule,
+    initial_weights: Optional[tuple] = None,
 ) -> RobustSolution:
     """Robust OT with only the first marginal relaxed."""
-    params = RobustParams(rho1=rho, rho2=0.0, **{
-        k: v for k, v in kwargs.items() if k in (
-            "max_outer_iter", "rel_tol", "update_rule")
-    })
-    initial = kwargs.get("initial_weights")
-    return solve_robust(mu, nu, cost, params, initial_weights=initial)
+    params = RobustParams(
+        rho1=rho, rho2=0.0, max_outer_iter=max_outer_iter, rel_tol=rel_tol,
+        update_rule=update_rule,
+    )
+    return solve_robust(mu, nu, cost, params, initial_weights=initial_weights)
 
 
 def brute_force_robust(

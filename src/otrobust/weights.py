@@ -4,13 +4,26 @@ The feasible set in the scaled frame is
 
     S = {w >= 0, sum w = n, ||w - 1||_2 <= R},   R = sqrt(2 rho n),
 
-and the subproblem minimizes (or maximizes) ``w . d`` over S.  The solver is
-a two-level KKT bisection: stationarity gives ``w_i = max(0, 1 + (mu - d_i)/lam)``
-with ``lam >= 0`` the ball multiplier and ``mu`` the equality multiplier; the
-inner bisection matches the sum constraint (monotone in mu), the outer one
-activates the ball (||w - 1|| monotone non-increasing in lam).  Ties on the
-optimal face resolve to the minimum-norm point, which makes rho -> 0 a
-continuous limit.
+and the subproblem minimizes (or maximizes) ``w . d`` over S.
+
+Both this oracle and the Euclidean projection onto S are solved exactly by
+one sort-and-scan over the support size (in the style of Condat, "Fast
+projection onto the simplex and the l1 ball", Math. Prog. 2016).  The KKT
+conditions give ``w_i = max(0, a - s d_i)`` for some level ``a`` and slope
+``s >= 0``, so the support is always a prefix of ``d`` sorted ascending.
+On the ``k`` smallest entries the point is
+
+    w = n/k - s (d - mean_k),   ||w - 1||^2 = n (n - k)/k + s^2 var_k,
+
+where ``var_k`` is the sum of squared deviations from ``mean_k``; the ball
+fixes ``s = sqrt((R^2 - n (n - k)/k) / var_k)``, and the projection (``d =
+-z``) caps it at 1, the slope of the plain simplex projection.  A candidate
+is feasible when ``R^2 >= n (n - k)/k`` and its last weight is non-negative,
+and every feasible candidate is a point of S, so the best feasible candidate
+(least ``d . w``, or nearest ``z``) is the exact optimum.  The scan cuts only
+between distinct values of ``d``: tied atoms get equal weight, which is the
+minimum-norm point of the optimal face and makes rho -> 0 a continuous
+limit.
 """
 from __future__ import annotations
 
@@ -22,8 +35,9 @@ from . import _zoom
 from .errors import InstanceTooLarge, NegativeMass
 from .measures import WeightVector, weight_radius
 
-_BISECT_TOL = 1e-12
-_BISECT_ITERS = 200
+# rounding allowance on a candidate's ball budget and last weight; without
+# it a support whose last weight is exactly zero could be dropped
+_SCAN_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -43,72 +57,50 @@ class WeightSubproblem:
         object.__setattr__(self, "d", d)
 
 
-def _clamped_weights(d, lam, mu):
-    return np.maximum(0.0, 1.0 + (mu - d) / lam)
+def _prefix_scan(d: np.ndarray, R: float, project: bool) -> np.ndarray:
+    """Best KKT candidate ``w = n/k - s (d - mean_k)`` over prefix supports.
 
+    Minimizes ``d . w`` over S, or with ``project`` returns the point of S
+    nearest ``-d``, whose slope ``s`` is at most 1.  The per-``k`` statistics
+    come from cumulative sums of ``d - d.min()``; the chosen point is then
+    recomputed from its own centred prefix.
+    """
+    n = d.size
+    s_max = 1.0 if project else np.inf
+    order = np.argsort(d, kind="stable")
+    x = d[order] - d[order[0]]
+    k = np.arange(1, n + 1)
+    s1 = np.cumsum(x)
+    mean = s1 / k
+    var = np.maximum(np.cumsum(x * x) - s1 * mean, 0.0)
+    slack = R * R - n * (n - k) / k
+    s = np.minimum(
+        s_max, np.sqrt(np.maximum(slack, 0.0) / np.where(var > 0, var, 1.0))
+    )
+    ok = (slack >= -_SCAN_TOL * R * R) & (
+        n / k - s * (x - mean) >= -_SCAN_TOL * n / k
+    )
+    ok[:-1] &= x[1:] > x[:-1]  # cut only between distinct values
+    lin = n * mean - s * var  # d . w - n d.min()
+    # nearest -d: ||w + d||^2 less its constant part
+    crit = 2.0 * lin + n * n / k + s * s * var if project else lin
+    cand = np.flatnonzero(ok)
+    kk = int(cand[np.argmin(crit[cand])]) + 1
 
-def _solve_inner(d, lam, n):
-    """Find mu with sum(w(lam, mu)) = n by bisection."""
-    lo = d.min() - lam
-    hi = d.max() + lam * n
-    for _ in range(_BISECT_ITERS):
-        mid = 0.5 * (lo + hi)
-        s = _clamped_weights(d, lam, mid).sum()
-        if s < n:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < _BISECT_TOL * max(1.0, abs(hi)):
-            break
-    return 0.5 * (lo + hi)
-
-
-def _min_norm_face_solution(d, n):
-    """lam -> 0 limit: uniform mass on the argmin face of the simplex."""
-    dmin = d.min()
-    S = d <= dmin + 1e-12 * max(1.0, abs(dmin))
-    w = np.zeros_like(d)
-    w[S] = n / S.sum()
+    dev = x[:kk] - x[:kk].mean()
+    var_k = float(dev @ dev)
+    s_k = 0.0
+    if var_k > 0:
+        s_k = min(s_max, np.sqrt(max(slack[kk - 1], 0.0) / var_k))
+    w = np.zeros(n)
+    w[order[:kk]] = np.maximum(n / kk - s_k * dev, 0.0)
     return w
 
 
 def solve_weight_socp(p: WeightSubproblem) -> WeightVector:
     """Exact optimizer of w.d over the scaled simplex-ball intersection."""
     d = p.d if p.sense == "minimize" else -p.d
-    n = d.size
-    R = weight_radius(p.rho, n)
-    spread = d.max() - d.min()
-    if R <= 0 or spread <= 1e-15 * max(1.0, np.abs(d).max()):
-        return WeightVector(np.ones(n), p.rho)
-
-    w_face = _min_norm_face_solution(d, n)
-    if np.linalg.norm(w_face - 1.0) <= R:
-        return WeightVector(w_face, p.rho)
-
-    def ball_norm(lam):
-        mu = _solve_inner(d, lam, n)
-        w = _clamped_weights(d, lam, mu)
-        return np.linalg.norm(w - 1.0), w
-
-    lam_hi = 1.0
-    while ball_norm(lam_hi)[0] >= R and lam_hi < 1e18:
-        lam_hi *= 2.0
-    lam_lo = lam_hi / 2.0
-    while ball_norm(lam_lo)[0] <= R and lam_lo > 1e-18:
-        lam_lo /= 2.0
-    w = None
-    for _ in range(_BISECT_ITERS):
-        lam = 0.5 * (lam_lo + lam_hi)
-        nrm, w = ball_norm(lam)
-        if nrm > R:
-            lam_lo = lam
-        else:
-            lam_hi = lam
-        if lam_hi - lam_lo < _BISECT_TOL * lam_hi:
-            break
-    _, w = ball_norm(lam_hi)  # inside-ball side of the bracket
-    w = np.maximum(w, 0.0)
-    w *= n / w.sum()
+    w = _prefix_scan(d, weight_radius(p.rho, d.size), project=False)
     return WeightVector(w, p.rho)
 
 
@@ -192,54 +184,9 @@ def brute_force_weights(
 def project_simplex_ball(z: np.ndarray, rho: float) -> np.ndarray:
     """Euclidean projection onto the scaled simplex-ball intersection.
 
-    Same two-level KKT bisection as the linear solver: stationarity of
-    ``0.5 ||w - z||^2`` gives ``w_i = max(0, (z_i + lam + mu) / (1 + lam))``.
+    The same prefix scan as the linear solver, on ``d = -z`` with the slope
+    capped at 1: stationarity of ``0.5 ||w - z||^2`` gives ``w_i = max(0,
+    (z_i + lam + mu) / (1 + lam))``.
     """
     z = np.asarray(z, dtype=float).ravel()
-    n = z.size
-    R = weight_radius(rho, n)
-    if R <= 0:
-        return np.ones(n)
-
-    def weights(lam, mu):
-        return np.maximum(0.0, (z + lam + mu) / (1.0 + lam))
-
-    def solve_mu(lam):
-        lo = -z.max() - lam - (1.0 + lam) * n
-        hi = -z.min() - lam + (1.0 + lam) * n
-        for _ in range(_BISECT_ITERS):
-            mid = 0.5 * (lo + hi)
-            if weights(lam, mid).sum() < n:
-                lo = mid
-            else:
-                hi = mid
-            if hi - lo < _BISECT_TOL * max(1.0, abs(hi)):
-                break
-        return 0.5 * (lo + hi)
-
-    w0 = weights(0.0, solve_mu(0.0))
-    if np.linalg.norm(w0 - 1.0) <= R:
-        w = w0
-    else:
-        lam_lo, lam_hi = 0.0, 1.0
-        while np.linalg.norm(weights(lam_hi, solve_mu(lam_hi)) - 1.0) > R:
-            lam_hi *= 2.0
-            if lam_hi > 1e18:
-                break
-        for _ in range(_BISECT_ITERS):
-            lam = 0.5 * (lam_lo + lam_hi)
-            if np.linalg.norm(weights(lam, solve_mu(lam)) - 1.0) > R:
-                lam_lo = lam
-            else:
-                lam_hi = lam
-            if lam_hi - lam_lo < _BISECT_TOL * max(1.0, lam_hi):
-                break
-        w = weights(lam_hi, solve_mu(lam_hi))
-    w = np.maximum(w, 0.0)
-    w *= n / w.sum()
-    nrm = np.linalg.norm(w - 1.0)
-    if nrm > R:
-        w = 1.0 + (w - 1.0) * (R / nrm)
-        w = np.maximum(w, 0.0)
-        w *= n / w.sum()
-    return w
+    return _prefix_scan(-z, weight_radius(rho, z.size), project=True)

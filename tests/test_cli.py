@@ -101,6 +101,24 @@ def test_large_coordinates_solve(tmp_path, capsys):
     assert doc["value"] > 0
 
 
+def test_tiny_box_robust_weights_in_ball(tmp_path, capsys):
+    """Potentials of order 1e-6 still give weights inside the ball."""
+    rng = np.random.default_rng(3)
+    paths = []
+    for name in ("a", "b"):
+        p = tmp_path / f"{name}.csv"
+        write_measure_csv(make_measure(1e-3 * rng.random((30, 2))), str(p))
+        paths.append(str(p))
+    code, doc = run_json(
+        ["robust", *paths, "--rho1", "0.5", "--max-iter", "20"], capsys
+    )
+    assert code in (0, 3)
+    w = np.asarray(doc["weights_x"])
+    assert w.min() >= 0.0
+    assert w.sum() == pytest.approx(30, abs=1e-8)
+    assert np.linalg.norm(w - 1.0) <= np.sqrt(2 * 0.5 * 30) + 1e-8
+
+
 def test_ot_same_cloud_zero(clouds, capsys):
     a, _ = clouds
     code, doc = run_json(["ot", a, a], capsys)

@@ -244,3 +244,35 @@ def test_lp_path_warm_starts_and_certifies_every_call(monkeypatch):
     assert len(calls) > 2
     assert not calls[0][0] and all(warm for warm, _ in calls[1:])
     assert max(slack for _, slack in calls) <= 1e-9
+
+
+def test_direct_rule_makes_no_repeated_lp_call(monkeypatch):
+    """An adopted oracle point is not solved again at the next iteration."""
+    calls = []
+    lp = robust._lp_transport
+
+    def recorded(a, b, C, support=None):
+        calls.append((a.copy(), b.copy()))
+        return lp(a, b, C, support=support)
+
+    monkeypatch.setattr(robust, "_lp_transport", recorded)
+    rng = np.random.default_rng(40)
+    mu = make_measure(rng.random((40, 2)))
+    nu = make_measure(rng.random((40, 2)))
+    params = RobustParams(rho1=0.1, rho2=0.05, max_outer_iter=20,
+                          update_rule="direct")
+    solve_robust(mu, nu, cost_matrix(mu, nu), params)
+    assert len(calls) > 2
+    for (a0, b0), (a1, b1) in zip(calls, calls[1:]):
+        assert not (
+            a0.shape == a1.shape and b0.shape == b1.shape
+            and np.abs(a0 - a1).max() <= 1e-12
+            and np.abs(b0 - b1).max() <= 1e-12
+        )
+
+
+def test_one_sided_rejects_unknown_keyword():
+    mu = make_measure([[0.0], [1.0]])
+    nu = make_measure([[0.5], [2.0]])
+    with pytest.raises(TypeError):
+        solve_robust_one_sided(mu, nu, cost_matrix(mu, nu), 0.1, max_iter=1)

@@ -71,12 +71,13 @@ def test_monotone_in_rho():
     assert np.all(np.diff(vals) <= 1e-10)
 
 
-def test_shift_invariance():
+@pytest.mark.parametrize("c", [1e-6, 1.0, 1e6])
+def test_shift_invariance(c):
     rng = np.random.default_rng(4)
     d = rng.normal(size=5)
     w1 = socp(d, 0.07).w
-    w2 = socp(d + 42.0, 0.07).w
-    assert np.abs(w1 - w2).max() <= 1e-9
+    for shifted in (c * d, c * (d + 42.0)):
+        assert np.abs(socp(shifted, 0.07).w - w1).max() <= 1e-9
 
 
 @given(
@@ -161,3 +162,53 @@ def test_projection_is_closest_point_vs_grid():
         w = project_simplex_ball(z, rho)
         dists = np.linalg.norm(cand - z, axis=1)
         assert np.linalg.norm(w - z) <= dists.min() + 1e-6
+
+
+def draw_d(rng, n, kind):
+    if kind == "tied":
+        return rng.integers(0, 4, n).astype(float)
+    d = rng.normal(0.0, 3.0, n)
+    return d * 1e-6 if kind == "small" else d
+
+
+def assert_in_set(w, rho):
+    n = w.size
+    assert w.min() >= 0.0
+    assert w.sum() == pytest.approx(n, abs=1e-9)
+    assert np.linalg.norm(w - 1.0) <= weight_radius(rho, n) + 1e-9
+
+
+def assert_ties_equal(w, d):
+    for v in np.unique(d):
+        assert np.ptp(w[d == v]) == 0.0
+
+
+@given(
+    n=st.integers(min_value=2, max_value=60),
+    kind=st.sampled_from(["random", "tied", "small"]),
+    rho=st.floats(min_value=0.0, max_value=10.0),
+    seed=st.integers(min_value=0, max_value=10**6),
+)
+@settings(max_examples=200, deadline=None)
+def test_oracle_and_projection_optimality(n, kind, rho, seed):
+    """Sizes the brute force cannot reach: the oracle beats projected
+    points, and the projection satisfies its variational inequality
+    against oracle points; both outputs are checked feasible directly."""
+    rng = np.random.default_rng(seed)
+    d = draw_d(rng, n, kind)
+    w = socp(d, rho).w
+    assert_in_set(w, rho)
+    assert_ties_equal(w, d)
+    for _ in range(3):
+        x = project_simplex_ball(rng.normal(1.0, 2.0, n), rho)
+        assert_in_set(x, rho)
+        assert w @ d <= x @ d + 1e-12 * np.abs(d).max() * n
+
+    z = draw_d(rng, n, kind) + 1.0
+    p = project_simplex_ball(z, rho)
+    assert_in_set(p, rho)
+    assert_ties_equal(p, z)
+    scale = max(1.0, np.abs(z).max()) * n
+    for _ in range(3):
+        x = socp(draw_d(rng, n, kind), rho).w
+        assert (z - p) @ (x - p) <= 1e-9 * scale
