@@ -1,12 +1,14 @@
 """Exact discrete optimal transport with dual potentials.
 
 The general path is the transportation linear program, solved by sparse arc
-pricing: HiGHS solves the LP on a subset of arcs (the few cheapest of each
-row and column, a north-west-corner plan that keeps the subset feasible, and
-optionally the support of a previous plan), every m x n arc is priced by its
-reduced cost ``c_ij - u_i - v_j``, and the most negative arc of each
-violating row and column joins the subset until none is left.  The result is
-a basic optimal coupling with exact dual potentials.
+pricing on a :class:`TransportModel`: a persistent HiGHS model (scipy's
+bundled binding) over the arcs priced in so far, the few cheapest of each row
+and column plus each solve's north-west-corner plan.  Every m x n arc is
+priced by its reduced cost ``c_ij - u_i - v_j``, and the most negative arc of
+each violating row and column joins the model until none is left.  The result
+is a basic optimal coupling with exact dual potentials.  A caller that solves
+many marginals on one cost matrix (the robust loop) keeps one model: only the
+row bounds change, so dual simplex restarts from the last optimal basis.
 When the positive-mass supports of both measures are k atoms of mass 1/k
 each, the optimum is a permutation: :func:`linear_sum_assignment` finds it,
 and potentials come from shortest paths on the assignment's
@@ -27,8 +29,8 @@ from math import comb
 from typing import Optional
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize import linear_sum_assignment, linprog
+from scipy.optimize import linear_sum_assignment
+from scipy.optimize._highspy._core import HighsModelStatus, _Highs
 
 from .errors import DimensionMismatch, SolverStall
 from .measures import CostMatrix, DiscreteMeasure, OtSolution, is_uniform_mass
@@ -37,7 +39,11 @@ COUPLING_EPS = 1e-12
 DUAL_FEAS_TOL = 1e-9
 PRICING_K = 5  # cheapest arcs per row and per column in the first LP
 _HIGHS_OPTIONS = {"primal_feasibility_tolerance": 1e-10,
-                  "dual_feasibility_tolerance": 1e-10}
+                  "dual_feasibility_tolerance": 1e-10,
+                  "presolve": "off", "output_flag": False}
+# the primal tolerance is absolute, so an atom lighter than it could be left
+# unshipped: the LP ships the masses times this factor instead
+_MASS_SCALE = 1e4
 
 
 def dual_feas_tol(C: np.ndarray) -> float:
@@ -47,73 +53,106 @@ def dual_feas_tol(C: np.ndarray) -> float:
     return DUAL_FEAS_TOL * max(1.0, float(np.abs(C).max(initial=0.0)))
 
 
-def _lp_transport(a: np.ndarray, b: np.ndarray, C: np.ndarray,
-                  support: Optional[np.ndarray] = None):
-    """Solve the transportation LP by sparse arc pricing; returns (plan, u, v).
+class TransportModel:
+    """A HiGHS transportation LP over one cost matrix, kept across solves.
 
-    HiGHS solves the LP restricted to a set of arcs: the ``PRICING_K``
-    cheapest of each row and each column, a north-west-corner plan (so the
-    restricted LP is feasible), and the optional boolean ``support`` mask,
-    typically the previous plan of a nearby instance.  All m x n arcs are
-    then priced by ``c_ij - u_i - v_j``; the most negative arc of each
-    violating row and column joins the set, until
+    Rows are the m + n marginal equalities; columns are the arcs priced in,
+    at first the ``PRICING_K`` cheapest of each row and each column.  A solve
+    sets the row bounds, adds the marginals' north-west-corner plan (so the
+    restricted LP is feasible), and prices all m x n arcs until
     ``max_ij(u_i + v_j - c_ij) <= dual_feas_tol(C)``.  When a round finds
-    violations only on arcs already in the set, the LP is re-solved on all
-    arcs; if that is still not certified, :class:`SolverStall` is raised.
-    ``b`` is rescaled to the total of ``a`` first, so that masses that sum
-    to 1 only to ``MASS_TOL`` still give a consistent equality system.
+    violations only on arcs already in the model, the LP is re-solved on all
+    arcs, and :class:`SolverStall` is raised if that is still not certified.
+    Presolve is off: a solve restarts from the last optimal basis, which only
+    a change of the right-hand side leaves dual feasible.
     """
-    m, n = C.shape
-    tol = dual_feas_tol(C)
-    b = b * (a.sum() / b.sum())
-    arcs = np.full((m, n), min(m, n) <= PRICING_K)
-    if not arcs.all():
-        for axis in (0, 1):
-            cheap = np.argpartition(C, PRICING_K - 1, axis=axis)
-            np.put_along_axis(arcs, cheap.take(range(PRICING_K), axis=axis),
-                              True, axis=axis)
-    # north-west corner: walk the merged cumulative masses from (0, 0)
-    cuts = np.concatenate([np.cumsum(a)[:-1], np.cumsum(b)[:-1]])
-    down = (np.arange(cuts.size) < m - 1)[np.argsort(cuts, kind="stable")]
-    arcs[np.r_[0, np.cumsum(down)], np.r_[0, np.cumsum(~down)]] = True
-    if support is not None:
-        arcs |= support
-    b_eq = np.concatenate([a, b])
-    while True:
-        rows, cols = np.nonzero(arcs)
-        k = rows.size
-        A = sparse.csc_matrix(
-            (np.ones(2 * k), (np.concatenate([rows, m + cols]),
-                              np.tile(np.arange(k), 2))),
-            shape=(m + n, k),
+
+    def __init__(self, C: np.ndarray):
+        m, n = C.shape
+        self.C = C
+        self.highs = _Highs()
+        for key, val in _HIGHS_OPTIONS.items():
+            self.highs.setOptionValue(key, val)
+        zero = np.zeros(m + n)
+        self.highs.addRows(m + n, zero, zero, 0, zero.astype(np.int32),
+                           np.zeros(0, np.int32), zero)
+        self.arcs = np.zeros((m, n), dtype=bool)
+        self.order = np.zeros(0, dtype=np.intp)  # flat index of each column
+        cheap = np.full((m, n), min(m, n) <= PRICING_K)
+        if not cheap.all():
+            for axis in (0, 1):
+                k = np.argpartition(C, PRICING_K - 1, axis=axis)
+                np.put_along_axis(cheap, k.take(range(PRICING_K), axis=axis),
+                                  True, axis=axis)
+        self._add(cheap)
+
+    def _add(self, new: np.ndarray):
+        flat = np.flatnonzero(new & ~self.arcs)
+        i, j = np.divmod(flat, self.C.shape[1])
+        k = flat.size
+        self.highs.addCols(
+            k, self.C.flat[flat], np.zeros(k), np.full(k, np.inf), 2 * k,
+            np.arange(0, 2 * k, 2, dtype=np.int32),
+            np.column_stack([i, self.C.shape[0] + j]).ravel().astype(np.int32),
+            np.ones(2 * k),
         )
-        res = linprog(
-            C[rows, cols], A_eq=A, b_eq=b_eq, bounds=(0, None),
-            method="highs", options=_HIGHS_OPTIONS,
-        )
-        if res.status != 0:
-            raise SolverStall(f"transport LP failed: {res.message}")
-        y = res.eqlin.marginals
-        u, v = y[:m], y[m:]
-        R = C - u[:, None] - v[None, :]
-        if R.min() >= -tol:
-            break
-        new = np.zeros_like(arcs)
-        bad = np.flatnonzero(R.min(axis=1) < -tol)
-        new[bad, R[bad].argmin(axis=1)] = True
-        bad = np.flatnonzero(R.min(axis=0) < -tol)
-        new[R[:, bad].argmin(axis=0), bad] = True
-        new &= ~arcs
-        if not new.any():
-            if arcs.all():
-                raise SolverStall(
-                    f"transport LP duals violate feasibility by {-R.min():.2e}"
-                )
-            new = ~arcs  # duals off on arcs already priced in: use them all
-        arcs |= new
-    plan = np.zeros((m, n))
-    plan[rows, cols] = res.x
-    return plan, u, v
+        self.arcs.flat[flat] = True
+        self.order = np.concatenate([self.order, flat])
+
+    def _run(self):
+        """Solve from the current basis; returns (arc masses, row duals)."""
+        self.highs.run()
+        status = self.highs.getModelStatus()
+        if status != HighsModelStatus.kOptimal:
+            raise SolverStall("transport LP failed: "
+                              + self.highs.modelStatusToString(status))
+        sol = self.highs.getSolution()
+        return np.array(sol.col_value), np.array(sol.row_dual)
+
+    def solve(self, a: np.ndarray, b: np.ndarray):
+        """(plan, u, v) for marginals a and b.  ``b`` is rescaled to the
+        total of ``a`` first, so that masses that sum to 1 only to
+        ``MASS_TOL`` still give a consistent equality system."""
+        C, arcs = self.C, self.arcs
+        m, n = C.shape
+        tol = dual_feas_tol(C)
+        b = b * (a.sum() / b.sum())
+        # north-west corner: walk the merged cumulative masses from (0, 0)
+        cuts = np.concatenate([np.cumsum(a)[:-1], np.cumsum(b)[:-1]])
+        down = (np.arange(cuts.size) < m - 1)[np.argsort(cuts, kind="stable")]
+        nw = np.zeros_like(arcs)
+        nw[np.r_[0, np.cumsum(down)], np.r_[0, np.cumsum(~down)]] = True
+        self._add(nw)
+        for r, mass in enumerate((_MASS_SCALE * np.r_[a, b]).tolist()):
+            self.highs.changeRowBounds(r, mass, mass)
+        while True:
+            x, y = self._run()
+            u, v = y[:m], y[m:]
+            R = C - u[:, None] - v[None, :]
+            if R.min() >= -tol:
+                break
+            new = np.zeros_like(arcs)
+            bad = np.flatnonzero(R.min(axis=1) < -tol)
+            new[bad, R[bad].argmin(axis=1)] = True
+            bad = np.flatnonzero(R.min(axis=0) < -tol)
+            new[R[:, bad].argmin(axis=0), bad] = True
+            if not (new & ~arcs).any():
+                if arcs.all():
+                    raise SolverStall("transport LP duals violate "
+                                      f"feasibility by {-R.min():.2e}")
+                new = ~arcs  # duals off on arcs already priced in: use them all
+            self._add(new)
+        plan = np.zeros((m, n))
+        plan.flat[self.order] = x / _MASS_SCALE
+        return plan, u, v
+
+
+def _lp_transport(a: np.ndarray, b: np.ndarray, C: np.ndarray,
+                  model: Optional[TransportModel] = None):
+    """Solve the transportation LP by sparse arc pricing; returns (plan, u, v).
+    ``model``, a :class:`TransportModel` over C that the caller keeps to
+    hot-start a sequence of marginals, is built afresh when None."""
+    return (TransportModel(C) if model is None else model).solve(a, b)
 
 
 def _assignment_transport(a: np.ndarray, b: np.ndarray, C: np.ndarray):
@@ -172,14 +211,9 @@ def _full_potentials(C, a, ia, jb, u, v):
 def _coupling(C, ia, jb, plan):
     """(triplets, value): the plan's entries above COUPLING_EPS as
     ``(i, j, mass)`` in full index space, and their cost under C."""
-    triplets = []
-    value = 0.0
-    for ii, jj in zip(*np.nonzero(plan > COUPLING_EPS)):
-        i, j = int(ia[ii]), int(jb[jj])
-        pij = float(plan[ii, jj])
-        triplets.append((i, j, pij))
-        value += pij * C[i, j]
-    return tuple(triplets), float(value)
+    ii, jj = np.nonzero(plan > COUPLING_EPS)
+    i, j, p = ia[ii], jb[jj], plan[ii, jj]
+    return tuple(zip(i.tolist(), j.tolist(), p.tolist())), float(p @ C[i, j])
 
 
 def _normalize_potentials(phi, psi, a):

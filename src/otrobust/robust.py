@@ -20,7 +20,7 @@ import numpy as np
 from . import _zoom
 from .errors import InstanceTooLarge, NonUniformInput
 from .exact import (
-    COUPLING_EPS,
+    TransportModel,
     _coupling,
     _full_potentials,
     _lp_transport,
@@ -67,17 +67,17 @@ class RobustSolution:
 class _Objective:
     """Exact OT value and dual potentials as a function of scaled weights.
 
-    On the LP path each call keeps its plan as ``coupling`` (triplets in full
-    index space) and passes the previous plan's support to the LP as its
-    warm start; the state lives only as long as one solve.
+    On the LP path every call solves on one :class:`TransportModel` over the
+    full C, hot-started from the last call's basis, and keeps its plan as
+    ``coupling`` (triplets); the model lives only as long as one solve.
     """
 
     def __init__(self, C: np.ndarray, m: int, n: int):
         self.C = C
         self.m, self.n = m, n
         self.evaluator = make_evaluator(C)
+        self.model = TransportModel(C)
         self.coupling = None
-        self.support = None
 
     def __call__(self, wx: np.ndarray, wy: np.ndarray):
         a = wx / self.m
@@ -88,15 +88,11 @@ class _Objective:
 
     def _lp_eval(self, a, b):
         C = self.C
-        ia = np.flatnonzero(a > 0)
-        jb = np.flatnonzero(b > 0)
-        block = np.ix_(ia, jb)
-        warm = None if self.support is None else self.support[block]
-        plan, u, v = _lp_transport(a[ia], b[jb], C[block], support=warm)
-        self.coupling, value = _coupling(C, ia, jb, plan)
-        self.support = np.zeros(C.shape, dtype=bool)
-        self.support[block] = plan > COUPLING_EPS
-        phi, psi = _full_potentials(C, a, ia, jb, u, v)
+        plan, u, v = _lp_transport(a, b, C, self.model)
+        self.coupling, value = _coupling(
+            C, np.arange(self.m), np.arange(self.n), plan)
+        ia, jb = np.flatnonzero(a > 0), np.flatnonzero(b > 0)
+        phi, psi = _full_potentials(C, a, ia, jb, u[ia], v[jb])
         return value, phi, psi
 
     def batch_values(self, WX: np.ndarray, WY: np.ndarray) -> np.ndarray:
@@ -328,14 +324,14 @@ def solve_robust(
             wy = wy + eta * (wy_star - wy)
         elif rule == "direct":
             at_star = objective(wx_star, wy_star)
-            # the first damped step (eta = 1) is the oracle point too; its
-            # evaluation then serves the next iteration
+            # adopt the oracle point when it is no worse, and always at t = 0
+            # (eta = 1), even if worse; its evaluation serves the next
+            # iteration.  Otherwise take the damped step, which may raise
+            # the objective too; only the best iterate is returned.
             if at_star[0] <= f or eta == 1.0:
                 wx, wy = wx_star, wy_star
                 evaluated = at_star
             else:
-                # literal alternation would overshoot: damp the step so the
-                # objective cannot increase
                 wx = wx + eta * (wx_star - wx)
                 wy = wy + eta * (wy_star - wy)
         else:  # subgradient

@@ -81,6 +81,25 @@ def test_masses_within_mass_tol_solve(tmp_path, capsys):
     assert doc["value"] > 0
 
 
+def test_tiny_masses_solve(tmp_path, capsys):
+    """Atoms of mass 1e-10, at the LP's primal feasibility tolerance, do not
+    make a feasible instance fail as infeasible."""
+    rng = np.random.default_rng(9)
+    a = np.full(60, (1 - 4e-10) / 56)
+    a[rng.choice(60, 4, replace=False)] = 1e-10
+    b = rng.random(60) + 0.05
+    paths = []
+    for name, mass in (("a", a), ("b", b / b.sum())):
+        p = tmp_path / f"{name}.csv"
+        rows = [f"{x:.17g},{y:.17g},{w:.17g}"
+                for (x, y), w in zip(rng.random((60, 2)), mass)]
+        p.write_text("x0,x1,mass\n" + "\n".join(rows) + "\n")
+        paths.append(str(p))
+    code, doc = run_json(["ot", *paths], capsys)
+    assert code == 0
+    assert doc["value"] > 0
+
+
 def test_large_coordinates_solve(tmp_path, capsys):
     """sqeuclidean costs near 1e10 certify in ot and robust."""
     paths = []

@@ -10,8 +10,8 @@ from scipy.optimize import linprog
 from otrobust import exact
 from otrobust.errors import DimensionMismatch, SolverStall
 from otrobust.exact import (
-    COUPLING_EPS,
     DenseDualEvaluator,
+    TransportModel,
     _lp_transport,
     dual_feas_tol,
     dual_vertex_budget,
@@ -257,12 +257,14 @@ def test_unequal_sizes_use_lp(lp_calls):
     assert lp_calls == [(4, 6)]
 
 
-def dense_lp_value(a, b, C):
+def dense_lp_value(a, b, C, presolve=True):
     """Reference: the transportation LP on all m x n arcs.
 
     The tolerances are tightened from HiGHS's default 1e-7, at which the
     optimum came out up to 1.2e-8 relative above a certified one on
-    instances with shared points.
+    instances with shared points.  At these tolerances HiGHS's presolve
+    declares some feasible instances with masses near 1e-10 infeasible;
+    ``presolve=False`` solves them.
     """
     m, n = C.shape
     A = sparse.vstack([
@@ -271,7 +273,8 @@ def dense_lp_value(a, b, C):
     ])
     res = linprog(C.ravel(), A_eq=A, b_eq=np.concatenate([a, b]),
                   bounds=(0, None), method="highs",
-                  options={"primal_feasibility_tolerance": 1e-10,
+                  options={"presolve": presolve,
+                           "primal_feasibility_tolerance": 1e-10,
                            "dual_feasibility_tolerance": 1e-10})
     assert res.status == 0
     return res.fun
@@ -315,32 +318,78 @@ def test_lp_transport_is_certified(m, n, kind, seed):
     value = float((plan * C).sum())
     assert value == pytest.approx(reference, rel=1e-9, abs=1e-12)
     assert_certified(a, b, C, plan, u, v)
-    # a stale warm start, the plan support of another instance, changes
-    # where pricing starts but not the answer
-    a2, b2, C2 = non_uniform_instance(rng, m, n, kind)
-    stale = _lp_transport(a2, b2, C2)[0] > COUPLING_EPS
-    plan, u, v = _lp_transport(a, b, C, support=stale)
+    # a model hot-started from other marginals on the same C starts its
+    # pricing elsewhere but gives the same answer and certificate
+    a2, b2, _ = non_uniform_instance(rng, m, n, kind)
+    model = TransportModel(C)
+    _lp_transport(a2, b2, C, model)
+    plan, u, v = _lp_transport(a, b, C, model)
     assert float((plan * C).sum()) == pytest.approx(value, rel=1e-9, abs=1e-12)
     assert_certified(a, b, C, plan, u, v)
 
 
 def test_lp_transport_never_returns_uncertified_duals(monkeypatch):
     """Duals off on arcs already in the LP: re-solve on all arcs, then stall."""
-    shapes = []
+    arcs = []
+    run = TransportModel._run
 
-    def off_duals(c, **kwargs):
-        res = linprog(c, **kwargs)
-        shapes.append(kwargs["A_eq"].shape)
-        res.eqlin.marginals[0] += 1e-6
-        return res
+    def off_duals(self):
+        x, y = run(self)
+        arcs.append(x.size)
+        y[0] += 1e-6
+        return x, y
 
-    monkeypatch.setattr(exact, "linprog", off_duals)
+    monkeypatch.setattr(TransportModel, "_run", off_duals)
     rng = np.random.default_rng(40)
     a, b, C = non_uniform_instance(rng, 12, 9, "random")
     with pytest.raises(SolverStall):
         _lp_transport(a, b, C)
-    assert shapes[-1] == (21, 12 * 9)
-    assert all(k < 12 * 9 for _, k in shapes[:-1])
+    assert arcs[-1] == 12 * 9
+    assert all(k < 12 * 9 for k in arcs[:-1])
+
+
+def test_hot_started_model_matches_fresh_models():
+    """A sequence of marginals solved on one model gives what a fresh model
+    gives for each, and every solution is certified."""
+    rng = np.random.default_rng(41)
+    C = rng.random((30, 25)) * 10.0
+    model = TransportModel(C)
+    for _ in range(8):
+        a, b, _ = non_uniform_instance(rng, 30, 25, "random")
+        a[rng.choice(30, 3, replace=False)] = 0.0
+        a /= a.sum()
+        plan, u, v = _lp_transport(a, b, C, model)
+        fresh = _lp_transport(a, b, C)[0]
+        assert float((plan * C).sum()) == pytest.approx(
+            float((fresh * C).sum()), rel=1e-9, abs=1e-12)
+        assert_certified(a, b, C, plan, u, v)
+
+
+@given(
+    tiny=st.sampled_from([1e-10, 3e-11]),
+    seed=st.integers(min_value=0, max_value=10**6),
+)
+@settings(max_examples=20, deadline=None)
+def test_tiny_masses_certify(tiny, seed):
+    """Atoms of mass near 1e-10, at the LP's primal feasibility tolerance,
+    neither make the LP infeasible nor lose their rows' certificate."""
+    rng = np.random.default_rng(seed)
+    mu = make_measure(rng.random((60, 2)))
+    nu = make_measure(rng.random((60, 2)))
+    C = cost_matrix(mu, nu).entries
+    a = np.full(60, (1 - 4 * tiny) / 56)
+    a[rng.choice(60, 4, replace=False)] = tiny
+    b = rng.random(60) + 0.05
+    b /= b.sum()
+    plan, u, v = _lp_transport(a, b, C)
+    assert float((plan * C).sum()) == pytest.approx(
+        dense_lp_value(a, b, C, presolve=False), rel=1e-9, abs=1e-12)
+    assert_certified(a, b, C, plan, u, v)
+    sol = solve_exact(make_measure(mu.points, a), make_measure(nu.points, b),
+                      CostMatrix(C))
+    assert sol.value == pytest.approx(float((plan * C).sum()), rel=1e-9)
+    slack = sol.potential_x[:, None] - sol.potential_y[None, :] - C
+    assert slack.max() <= dual_feas_tol(C)
 
 
 def test_large_costs_certify():

@@ -229,10 +229,9 @@ def test_lp_path_warm_starts_and_certifies_every_call(monkeypatch):
     calls = []
     lp = robust._lp_transport
 
-    def checked(a, b, C, support=None):
-        plan, u, v = lp(a, b, C, support=support)
-        calls.append((support is not None,
-                      float((u[:, None] + v[None, :] - C).max())))
+    def checked(a, b, C, model=None):
+        plan, u, v = lp(a, b, C, model)
+        calls.append((model, float((u[:, None] + v[None, :] - C).max())))
         return plan, u, v
 
     monkeypatch.setattr(robust, "_lp_transport", checked)
@@ -242,7 +241,8 @@ def test_lp_path_warm_starts_and_certifies_every_call(monkeypatch):
     solve_robust(mu, nu, cost_matrix(mu, nu),
                  RobustParams(rho1=0.1, rho2=0.05, max_outer_iter=10))
     assert len(calls) > 2
-    assert not calls[0][0] and all(warm for warm, _ in calls[1:])
+    assert calls[0][0] is not None
+    assert all(model is calls[0][0] for model, _ in calls)
     assert max(slack for _, slack in calls) <= 1e-9
 
 
@@ -251,9 +251,9 @@ def test_direct_rule_makes_no_repeated_lp_call(monkeypatch):
     calls = []
     lp = robust._lp_transport
 
-    def recorded(a, b, C, support=None):
-        calls.append((a.copy(), b.copy()))
-        return lp(a, b, C, support=support)
+    def recorded(a, b, C, model=None):
+        calls.append((a.copy(), b.copy(), model))
+        return lp(a, b, C, model)
 
     monkeypatch.setattr(robust, "_lp_transport", recorded)
     rng = np.random.default_rng(40)
@@ -263,7 +263,9 @@ def test_direct_rule_makes_no_repeated_lp_call(monkeypatch):
                           update_rule="direct")
     solve_robust(mu, nu, cost_matrix(mu, nu), params)
     assert len(calls) > 2
-    for (a0, b0), (a1, b1) in zip(calls, calls[1:]):
+    assert calls[0][2] is not None
+    assert all(model is calls[0][2] for _, _, model in calls)
+    for (a0, b0, _), (a1, b1, _) in zip(calls, calls[1:]):
         assert not (
             a0.shape == a1.shape and b0.shape == b1.shape
             and np.abs(a0 - a1).max() <= 1e-12
