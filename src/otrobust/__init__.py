@@ -8,7 +8,6 @@ from .errors import (
     LengthMismatch,
     MassNotNormalized,
     NegativeMass,
-    NonConvergence,
     NonUniformInput,
     NormalizationViolated,
     OtError,
@@ -59,7 +58,6 @@ from .unbalanced import (
 from .weights import (
     WeightSubproblem,
     brute_force_weights,
-    penalized_weight_step,
     project_simplex_ball,
     solve_weight_socp,
 )

@@ -162,14 +162,12 @@ def _cmd_robust(args) -> int:
     mu = read_measure(args.source)
     nu = read_measure(args.target)
     C = cost_matrix(mu, nu, metric=args.metric)
-    params = RobustParams(
-        rho1=args.rho1, rho2=args.rho2, update_rule=args.rule,
-        max_outer_iter=args.max_iter,
-    )
+    params = RobustParams(rho1=args.rho1, rho2=args.rho2,
+                          max_outer_iter=args.max_iter)
     sol = solve_robust(mu, nu, C, params)
     doc = {
         "command": "robust",
-        "params": {"rho1": args.rho1, "rho2": args.rho2, "rule": args.rule,
+        "params": {"rho1": args.rho1, "rho2": args.rho2,
                    "metric": args.metric},
         "value": sol.value,
         "weights_x": sol.w_x.w.tolist(),
@@ -452,8 +450,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("target")
     sp.add_argument("--rho1", type=float, required=True)
     sp.add_argument("--rho2", type=float, default=0.0)
-    sp.add_argument("--rule", choices=["averaged", "direct", "subgradient"],
-                    default="averaged")
     sp.add_argument("--max-iter", type=int, default=500)
     sp.add_argument("--metric", choices=["euclidean", "sqeuclidean"],
                     default="euclidean")

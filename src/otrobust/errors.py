@@ -33,17 +33,6 @@ class SolverStall(OtError):
     """An exact solver hit its iteration cap without a certified optimum."""
 
 
-class NonConvergence(OtError):
-    """An iterative solver failed to reach its tolerance.
-
-    Carries the best iterate so callers can still inspect it.
-    """
-
-    def __init__(self, message, result=None):
-        super().__init__(message)
-        self.result = result
-
-
 class InstanceTooLarge(OtError):
     pass
 

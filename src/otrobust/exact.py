@@ -18,9 +18,9 @@ Both paths end with the same full check
 arcs, so every returned solution carries a checked dual certificate.
 For very small cost matrices a :class:`DenseDualEvaluator` enumerates the
 vertices of the dual polytope once per cost matrix; afterwards the optimal
-value and potentials for *any* pair of marginals are a single matrix product,
-which is what makes the robust solver and its brute-force oracles affordable
-at oracle scale.
+value for *any* pair of marginals is a single matrix product.  It is an
+oracle only: it makes the brute-force grid of
+:func:`otrobust.robust.brute_force_robust` affordable, and no solver uses it.
 """
 from __future__ import annotations
 
@@ -44,6 +44,9 @@ _HIGHS_OPTIONS = {"primal_feasibility_tolerance": 1e-10,
 # the primal tolerance is absolute, so an atom lighter than it could be left
 # unshipped: the LP ships the masses times this factor instead
 _MASS_SCALE = 1e4
+# a few ulps: all m + n rows together then stay consistent to well within
+# the primal tolerance
+_RHS_RTOL = 1e-15
 
 
 def dual_feas_tol(C: np.ndarray) -> float:
@@ -78,6 +81,7 @@ class TransportModel:
                            np.zeros(0, np.int32), zero)
         self.arcs = np.zeros((m, n), dtype=bool)
         self.order = np.zeros(0, dtype=np.intp)  # flat index of each column
+        self.rhs = np.zeros(m + n)  # the row bounds HiGHS holds
         cheap = np.full((m, n), min(m, n) <= PRICING_K)
         if not cheap.all():
             for axis in (0, 1):
@@ -112,7 +116,9 @@ class TransportModel:
     def solve(self, a: np.ndarray, b: np.ndarray):
         """(plan, u, v) for marginals a and b.  ``b`` is rescaled to the
         total of ``a`` first, so that masses that sum to 1 only to
-        ``MASS_TOL`` still give a consistent equality system."""
+        ``MASS_TOL`` still give a consistent equality system.  A row's bound
+        is set only when its mass moved by more than ``_RHS_RTOL`` since
+        the last solve, so rescaling alone sets no bound."""
         C, arcs = self.C, self.arcs
         m, n = C.shape
         tol = dual_feas_tol(C)
@@ -123,8 +129,11 @@ class TransportModel:
         nw = np.zeros_like(arcs)
         nw[np.r_[0, np.cumsum(down)], np.r_[0, np.cumsum(~down)]] = True
         self._add(nw)
-        for r, mass in enumerate((_MASS_SCALE * np.r_[a, b]).tolist()):
-            self.highs.changeRowBounds(r, mass, mass)
+        rhs = _MASS_SCALE * np.r_[a, b]
+        moved = np.abs(rhs - self.rhs) > _RHS_RTOL * rhs
+        for r in np.flatnonzero(moved).tolist():
+            self.highs.changeRowBounds(r, rhs[r], rhs[r])
+        self.rhs[moved] = rhs[moved]
         while True:
             x, y = self._run()
             u, v = y[:m], y[m:]
@@ -191,7 +200,9 @@ def _full_potentials(C, a, ia, jb, u, v):
     """(phi, psi) on all atoms from support duals u_i + v_j <= c_ij.
 
     Maps to the convention phi_i - psi_j <= c_ij, imputes zero-mass atoms
-    with the tightest dual-feasible value, and normalises against a.
+    with the tightest dual-feasible value, and normalises against a.  The
+    zero-mass rows are imputed against every column, so the pair is dual
+    feasible on all arcs, as a cut of the robust solver must be.
     """
     m, n = C.shape
     phi = np.empty(m)
@@ -204,8 +215,10 @@ def _full_potentials(C, a, ia, jb, u, v):
         psi[rest] = np.max(phi[ia, None] - C[np.ix_(ia, rest)], axis=0)
     if ia.size < m:
         rest = np.setdiff1d(np.arange(m), ia)
-        phi[rest] = np.min(C[np.ix_(rest, jb)] + psi[None, jb], axis=1)
-    return _normalize_potentials(phi, psi, a)
+        phi[rest] = np.min(C[rest] + psi[None, :], axis=1)
+    # shift so that the mass-weighted mean of phi over supp(a) is 0
+    shift = float(phi @ a) / max(float(a.sum()), 1e-300)
+    return phi - shift, psi - shift
 
 
 def _coupling(C, ia, jb, plan):
@@ -214,12 +227,6 @@ def _coupling(C, ia, jb, plan):
     ii, jj = np.nonzero(plan > COUPLING_EPS)
     i, j, p = ia[ii], jb[jj], plan[ii, jj]
     return tuple(zip(i.tolist(), j.tolist(), p.tolist())), float(p @ C[i, j])
-
-
-def _normalize_potentials(phi, psi, a):
-    """Shift the pair so the mass-weighted mean of phi over supp(a) is 0."""
-    shift = float(phi @ a) / max(float(a.sum()), 1e-300)
-    return phi - shift, psi - shift
 
 
 def solve_exact(
@@ -285,8 +292,8 @@ class DenseDualEvaluator:
     Enumerates all vertices of the bounded dual polytope
     ``{(u, v): u_i + v_j <= c_ij, v_n = 0}``.  By LP duality the optimal
     value for marginals (a, b) is ``max_k u_k.a + v_k.b`` over the vertex
-    list, so repeated evaluations (e.g. along a weight-update trajectory or
-    a brute-force grid) are a single matmul.
+    list, so a batch of evaluations (a brute-force grid) is a single
+    matmul.
     """
 
     def __init__(self, C: np.ndarray):
@@ -331,25 +338,3 @@ class DenseDualEvaluator:
         """Optimal values for batches of marginals A (N, m), B (N, n)."""
         scores = A @ self.U.T + B @ self.V.T
         return scores.max(axis=1)
-
-    def value_and_potentials(self, a: np.ndarray, b: np.ndarray):
-        """Value plus optimal potentials (phi, psi) for one marginal pair."""
-        scores = self.U @ a + self.V @ b
-        k = int(np.argmax(scores))
-        phi = self.U[k].copy()
-        psi = -self.V[k]
-        # tighten potentials of zero-mass atoms so they remain valid
-        # one-sided derivatives of the value in the mass direction
-        zi = a <= 0
-        if zi.any():
-            phi[zi] = np.min(self.C[zi] + psi[None, :], axis=1)
-        phi, psi = _normalize_potentials(phi, psi, a)
-        return float(scores[k]), phi, psi
-
-
-def make_evaluator(C: np.ndarray):
-    """DenseDualEvaluator when affordable, else None."""
-    m, n = C.shape
-    if dual_vertex_budget(m, n) <= _MAX_BASES:
-        return DenseDualEvaluator(C)
-    return None

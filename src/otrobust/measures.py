@@ -6,7 +6,7 @@ assume well-formed inputs.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -135,7 +135,6 @@ class WeightVector:
 
     w: np.ndarray
     rho: float
-    stalled: bool = field(default=False, compare=False)
 
     def __post_init__(self):
         w = np.asarray(self.w, dtype=float).ravel()

@@ -1,14 +1,28 @@
-"""Outlier-robust OT: alternating minimization over marginal weights.
+"""Outlier-robust OT: a proximal bundle method over exact-OT cuts.
 
 The robust distance relaxes one or both marginals inside a chi-square ball
-and minimizes the transport cost over the relaxed marginals.  In the
-discrete uniform setting the problem is jointly convex in the scaled weight
-vectors, and the exact-OT dual potentials at the current weights form a
-subgradient, so the weight subproblem (a linear objective over the
-simplex-ball set) is precisely the linear-minimization oracle of a
-conditional-gradient scheme.  The duality gap of that oracle certifies
-optimality; for small cost matrices a fully-corrective step over the
-collected oracle atoms drives the gap to solver precision.
+and minimizes the transport cost over the relaxed marginals.  In the scaled
+weights ``z = (wx, wy)`` the objective ``f(z) = OT(wx/m, wy/n)`` is, by LP
+duality, the maximum of ``phi.wx/m - psi.wy/n`` over the dual-feasible pairs
+``phi_i - psi_j <= c_ij``: convex and piecewise linear.  The exact LP at any
+point gives such a pair and with it the cut ``g = (phi/m, -psi/n)``:
+``f(z) >= g.z`` for every feasible z, with equality at that point.  Every
+convex combination of cuts is again a dual-feasible pair, so its minimum
+over the feasible set, one :func:`solve_weight_socp` per relaxed side, is a
+lower bound on the robust value.
+
+:func:`solve_robust` is a proximal bundle method over these cuts (Kiwiel,
+"Proximity control in bundle methods for convex nondifferentiable
+minimization", Math. Prog. 1990) on one hot-started :class:`TransportModel`.
+Its master problem minimizes ``max_k g_k.z + ||z - c||^2 / (2t)`` over the
+feasible set around the stability centre ``c``.  It is solved in its dual
+over the simplex of cut multipliers ``lam``, whose inner minimiser is the
+projection of ``c - t G^T lam`` onto each relaxed side, by semismooth Newton
+steps on the projection's generalised Jacobian.  The upper bound is the
+best LP value, whose plan is the returned coupling; the lower bound is the
+best minimum over every cut and every master's aggregate ``G^T lam``.
+``converged`` means that the two bounds are within ``rel_tol * max(1,
+value)``, and ``gap`` is their difference.
 """
 from __future__ import annotations
 
@@ -20,37 +34,45 @@ import numpy as np
 from . import _zoom
 from .errors import InstanceTooLarge, NonUniformInput
 from .exact import (
+    DenseDualEvaluator,
     TransportModel,
     _coupling,
     _full_potentials,
     _lp_transport,
-    make_evaluator,
     solve_exact,
 )
 from .measures import CostMatrix, DiscreteMeasure, WeightVector, weight_radius
-from .weights import WeightSubproblem, project_simplex_ball, solve_weight_socp
+from .weights import (
+    WeightSubproblem,
+    _projection,
+    project_simplex_ball,
+    solve_weight_socp,
+)
 
-_STAGNATION_RUNS = 10
-# the best iterate's plan stays the coupling when sanitising moves no
-# scaled weight by more than this
-_PLAN_WEIGHT_TOL = 1e-12
+# a point becomes the centre (a serious step) when it lowers the centre's
+# value by at least this share of the decrease the master predicted
+_DESCENT = 0.1
+_MASTER_ITER = 100
+_MAX_CUTS = 200
+_SAME_POINT = 1e-9  # max-norm distance below which a point is not re-solved
+_MAX_STALLS = 3  # masters in a row that yield no new point
 
 
 @dataclass(frozen=True)
 class RobustParams:
+    """Radii of the two chi-square balls; ``max_outer_iter`` caps the LP
+    solves of one robust solve."""
+
     rho1: float
     rho2: float = 0.0
     max_outer_iter: int = 500
     rel_tol: float = 1e-7
-    update_rule: str = "averaged"
 
     def __post_init__(self):
         if self.rho1 < 0 or self.rho2 < 0:
             raise ValueError("rho1, rho2 must be >= 0")
         if self.max_outer_iter < 1:
             raise ValueError("max_outer_iter must be >= 1")
-        if self.update_rule not in ("averaged", "direct", "subgradient"):
-            raise ValueError(f"unknown update rule {self.update_rule!r}")
 
 
 @dataclass(frozen=True)
@@ -64,171 +86,136 @@ class RobustSolution:
     gap: float = field(default=float("nan"), compare=False)
 
 
-class _Objective:
-    """Exact OT value and dual potentials as a function of scaled weights.
+class _Bounds:
+    """Both bounds of one robust solve, its cuts and the points it solved.
 
-    On the LP path every call solves on one :class:`TransportModel` over the
-    full C, hot-started from the last call's basis, and keeps its plan as
-    ``coupling`` (triplets); the model lives only as long as one solve.
+    Every LP solves on one :class:`TransportModel` over the full C,
+    hot-started from the last LP's basis; the model lives only as long as
+    one solve.  The best LP's weights and plan (triplets) are kept.
     """
 
-    def __init__(self, C: np.ndarray, m: int, n: int):
-        self.C = C
-        self.m, self.n = m, n
-        self.evaluator = make_evaluator(C)
+    def __init__(self, C: np.ndarray, m: int, n: int, sides: list):
+        self.C, self.m, self.n, self.sides = C, m, n, sides
         self.model = TransportModel(C)
-        self.coupling = None
+        self.cuts, self.points, self.trace = [], [], []
+        # every plan has mass 1, so no value is below the least cost
+        self.ub, self.lb = np.inf, float(C.min())
+        self.z = self.coupling = None
 
-    def __call__(self, wx: np.ndarray, wy: np.ndarray):
-        a = wx / self.m
-        b = wy / self.n
-        if self.evaluator is not None:
-            return self.evaluator.value_and_potentials(a, b)
-        return self._lp_eval(a, b)
+    def bound(self, g: np.ndarray) -> np.ndarray:
+        """Raise the lower bound to ``min_z g.z``; returns the minimiser."""
+        z = np.ones(g.size)
+        for sl, _, rho in self.sides:
+            z[sl] = solve_weight_socp(WeightSubproblem(g[sl], rho)).w
+        self.lb = max(self.lb, float(g @ z))
+        return z
 
-    def _lp_eval(self, a, b):
-        C = self.C
+    def evaluate(self, z: np.ndarray):
+        """Solve the LP at z and add its cut; returns (value, minimiser of
+        the cut)."""
+        C, m, n = self.C, self.m, self.n
+        a, b = z[:m] / m, z[m:] / n
         plan, u, v = _lp_transport(a, b, C, self.model)
-        self.coupling, value = _coupling(
-            C, np.arange(self.m), np.arange(self.n), plan)
+        coupling, value = _coupling(C, np.arange(m), np.arange(n), plan)
         ia, jb = np.flatnonzero(a > 0), np.flatnonzero(b > 0)
         phi, psi = _full_potentials(C, a, ia, jb, u[ia], v[jb])
-        return value, phi, psi
+        g = np.concatenate([phi / m, -psi / n])
+        self.cuts.append(g)
+        self.points.append(z)
+        if value < self.ub:
+            self.ub, self.z, self.coupling = value, z, coupling
+        self.trace.append(self.ub)
+        return value, self.bound(g)
 
-    def batch_values(self, WX: np.ndarray, WY: np.ndarray) -> np.ndarray:
-        if self.evaluator is not None:
-            return self.evaluator.value_batch(WX / self.m, WY / self.n)
-        return np.array(
-            [self(wx, wy)[0] for wx, wy in zip(WX, WY)], dtype=float
-        )
+    def seen(self, z: np.ndarray) -> bool:
+        return any(np.abs(z - p).max() <= _SAME_POINT for p in self.points)
+
+    def certified(self, rel_tol: float) -> bool:
+        return self.ub - self.lb <= rel_tol * max(1.0, self.ub)
 
 
-def _polish(objective, wx0, wy0, R1, R2):
-    """High-accuracy finisher for small instances.
+def _newton_step(G: np.ndarray, t: float, jac: list, v: np.ndarray):
+    """Direction ``d`` with ``sum d = 0`` and ``t G J G^T d + r 1 = v``.
 
-    On the dense-dual path the objective is an explicit maximum of linear
-    pieces, so the whole relaxed problem is a small convex program: minimize
-    an epigraph variable over the piece constraints and the two simplex-ball
-    sets.  Solved by cutting planes on the pieces with an SLSQP inner solve;
-    returns (wx, wy) or None when unavailable or not improved.
+    ``J`` is the projection's generalised Jacobian, given per relaxed side
+    as ``(support, s, u)`` for ``s (P - u u^T)`` on the support; a small
+    ridge keeps the system regular when cuts coincide on the supports.
     """
-    from scipy.optimize import minimize
+    k = v.size
+    H = np.zeros((k, k))
+    for support, s, u in jac:
+        Gs = G[:, support]
+        Gc = Gs - Gs.mean(axis=1, keepdims=True)
+        Hs = Gc @ Gc.T
+        if u is not None:
+            q = Gs @ u
+            Hs -= np.outer(q, q)
+        H += s * Hs
+    H *= t
+    ridge = 1e-9 * np.trace(H) / k + 1e-12 * t * float((G * G).sum()) / k
+    H[np.diag_indices(k)] += max(ridge, 1e-300)
+    K = np.ones((k + 1, k + 1))
+    K[:k, :k] = H
+    K[k, k] = 0.0
+    return np.linalg.solve(K, np.r_[v, 0.0])[:k]
 
-    ev = objective.evaluator
-    if ev is None:
-        return None
-    m, n = objective.m, objective.n
-    U, V = ev.U / m, ev.V / n  # pieces: t >= U_k . wx + V_k . wy
-    free_x, free_y = R1 > 0, R2 > 0
-    nx = m if free_x else 0
-    ny = n if free_y else 0
-    def piece_scores(wx, wy):
-        return U @ wx + V @ wy
 
-    scores0 = piece_scores(wx0, wy0)
-    order = np.argsort(scores0)[::-1]
-    work = list(order[: min(20, order.size)])
+def _master(G, centre, t, lam, sides, tol):
+    """Cut multipliers and proximal point of the bundle's master problem.
 
-    def pack(wx, wy, t):
-        parts = []
-        if free_x:
-            parts.append(wx)
-        if free_y:
-            parts.append(wy)
-        parts.append([t])
-        return np.concatenate(parts)
+    Maximizes the concave dual ``theta(lam) = min_z lam.Gz + ||z - centre||^2
+    / (2t)`` over the simplex.  Its minimiser ``z(lam)`` is a projection per
+    relaxed side and its gradient is ``G z(lam)``.  Each step is a Newton
+    step on the free multipliers (the positive ones and the cut with the
+    largest value), where a zero multiplier that the step would make
+    negative leaves the free set, followed by backtracking to the simplex
+    and an Armijo test.  Stops once the master's duality gap ``max_k (G
+    z)_k - lam.G z`` is at most ``tol``.  Returns ``(lam, z, G z)``.
+    """
 
-    def unpack(x):
-        at = 0
-        wx = x[at : at + nx] if free_x else np.ones(m)
-        at += nx
-        wy = x[at : at + ny] if free_y else np.ones(n)
-        return wx, wy, x[-1]
+    def at(lam):
+        y = centre - t * (lam @ G)
+        z = centre.copy()
+        jac = []
+        for sl, R, _ in sides:
+            w, support, s, u = _projection(y[sl], R)
+            z[sl] = w
+            jac.append((sl.start + support, s, u))
+        v = G @ z
+        d = z - centre
+        return z, v, float(lam @ v + d @ d / (2.0 * t)), jac
 
-    for _ in range(8):
-        Uw = U[work]
-        Vw = V[work]
-
-        def obj(x):
-            return x[-1]
-
-        def obj_grad(x):
-            g = np.zeros_like(x)
-            g[-1] = 1.0
-            return g
-
-        cons = []
-
-        def piece_con(x, Uw=Uw, Vw=Vw):
-            wx, wy, t = unpack(x)
-            return t - (Uw @ wx + Vw @ wy)
-
-        def piece_jac(x, Uw=Uw, Vw=Vw):
-            J = np.zeros((len(work), x.size))
-            at = 0
-            if free_x:
-                J[:, at : at + nx] = -Uw
-                at += nx
-            if free_y:
-                J[:, at : at + ny] = -Vw
-            J[:, -1] = 1.0
-            return J
-
-        cons.append({"type": "ineq", "fun": piece_con, "jac": piece_jac})
-        if free_x:
-            cons.append({
-                "type": "eq",
-                "fun": lambda x: x[:nx].sum() - m,
-                "jac": lambda x: np.concatenate(
-                    [np.ones(nx), np.zeros(x.size - nx)]
-                ),
-            })
-            cons.append({
-                "type": "ineq",
-                "fun": lambda x: R1**2 - np.sum((x[:nx] - 1.0) ** 2),
-                "jac": lambda x: np.concatenate(
-                    [-2.0 * (x[:nx] - 1.0), np.zeros(x.size - nx)]
-                ),
-            })
-        if free_y:
-            cons.append({
-                "type": "eq",
-                "fun": lambda x: x[nx : nx + ny].sum() - n,
-                "jac": lambda x: np.concatenate(
-                    [np.zeros(nx), np.ones(ny), np.zeros(x.size - nx - ny)]
-                ),
-            })
-            cons.append({
-                "type": "ineq",
-                "fun": lambda x: R2**2 - np.sum((x[nx : nx + ny] - 1.0) ** 2),
-                "jac": lambda x: np.concatenate(
-                    [np.zeros(nx), -2.0 * (x[nx : nx + ny] - 1.0),
-                     np.zeros(x.size - nx - ny)]
-                ),
-            })
-        bounds = [(0.0, None)] * (nx + ny) + [(None, None)]
-        x0 = pack(wx0, wy0, piece_scores(wx0, wy0).max())
-        res = minimize(
-            obj, x0, jac=obj_grad, bounds=bounds, constraints=cons,
-            method="SLSQP", options={"maxiter": 200, "ftol": 1e-12},
-        )
-        if not res.success and res.status != 4:  # 4: inequality incompatible noise
-            return None
-        wx1, wy1, t1 = unpack(res.x)
-        s = piece_scores(wx1, wy1)
-        viol = s.max() - t1
-        if viol <= 1e-10:
-            return np.maximum(wx1, 0.0), np.maximum(wy1, 0.0)
-        # add the most violated pieces and re-solve
-        for k in np.argsort(s)[::-1][:5]:
-            if k not in work:
-                work.append(int(k))
-        wx0, wy0 = np.maximum(wx1, 0.0), np.maximum(wy1, 0.0)
-        if free_x and wx0.sum() > 0:
-            wx0 *= m / wx0.sum()
-        if free_y and wy0.sum() > 0:
-            wy0 *= n / wy0.sum()
-    return np.maximum(wx0, 0.0), np.maximum(wy0, 0.0)
+    z, v, theta, jac = at(lam)
+    for _ in range(_MASTER_ITER):
+        top = int(v.argmax())
+        if v[top] - lam @ v <= tol:
+            break
+        free = lam > 0
+        free[top] = True
+        while True:
+            idx = np.flatnonzero(free)
+            step = _newton_step(G[idx], t, jac, v[idx])
+            drop = (lam[idx] == 0) & (step < 0)
+            if not drop.any():
+                break
+            free[idx[drop]] = False
+        d = np.zeros(lam.size)
+        d[idx] = step
+        slope = float(v @ d)
+        neg = d < 0
+        alpha = min(1.0, float((lam[neg] / -d[neg]).min(initial=np.inf)))
+        while alpha > 1e-12 and slope > 0:
+            trial = lam + alpha * d
+            trial[trial < 1e-14] = 0.0
+            trial /= trial.sum()
+            cand = at(trial)
+            if cand[2] >= theta + 1e-4 * alpha * slope:
+                lam, (z, v, theta, jac) = trial, cand
+                break
+            alpha *= 0.5
+        else:
+            break
+    return lam, z, v
 
 
 def solve_robust(
@@ -240,13 +227,12 @@ def solve_robust(
 ) -> RobustSolution:
     """Robust OT value between two uniform empirical measures.
 
-    Alternates exact OT solves (providing dual potentials) with weight
-    subproblem solves on each relaxed side, per ``params.update_rule``.
-    The returned value carries a conditional-gradient optimality gap; the
-    trace is the running best objective, non-increasing by construction;
-    its last entry is the smaller of the entry before it and the returned
-    value.  The returned value is the cost of the returned coupling, whose
-    marginals are the returned weights over m and n.
+    Starts from ``initial_weights``, projected onto each relaxed side's
+    feasible set (uniform weights when None), and runs the bundle method
+    until the bounds certify ``rel_tol`` or ``max_outer_iter`` LPs are
+    solved.  The value is the cost of the returned coupling, whose marginals
+    are the returned weights over m and n; the trace is the best value after
+    each LP, then the value.
     """
     if not mu.is_uniform():
         raise NonUniformInput("first measure must have uniform atom mass")
@@ -256,169 +242,84 @@ def solve_robust(
     m, n = mu.n, nu.n
     if C.shape != (m, n):
         raise NonUniformInput(f"cost is {C.shape}, measures {m} x {n}")
-    rho1, rho2 = params.rho1, params.rho2
-    R1, R2 = weight_radius(rho1, m), weight_radius(rho2, n)
+    init = (None, None) if initial_weights is None else initial_weights
+    z = np.ones(m + n)
+    sides = []  # (slice of z, radius, rho) of each relaxed side
+    for sl, rho, w0 in ((slice(0, m), params.rho1, init[0]),
+                        (slice(m, m + n), params.rho2, init[1])):
+        R = weight_radius(rho, sl.stop - sl.start)
+        if R > 0:
+            sides.append((sl, R, rho))
+            if w0 is not None:
+                z[sl] = project_simplex_ball(w0, rho)
 
-    objective = _Objective(C, m, n)
-    if initial_weights is not None:
-        wx = np.asarray(initial_weights[0], dtype=float).copy()
-        wy = np.asarray(initial_weights[1], dtype=float).copy()
-    else:
-        wx, wy = np.ones(m), np.ones(n)
-
-    small = objective.evaluator is not None
-    best_f = np.inf
-    best_wx, best_wy = wx.copy(), wy.copy()
-    best_coupling = None
-    trace = []
-    converged = False
-    gap = np.inf
-    stagnant = 0
-    prev_f = None
-    last_polish_f = None
-    moved = False  # the iterate changed since it was last evaluated
-    evaluated = None  # (f, phi, psi) already solved at the current iterate
-
-    for t in range(params.max_outer_iter):
-        if evaluated is None:
-            evaluated = objective(wx, wy)
-        f, phi, psi = evaluated
-        evaluated = None
-        moved = False
-        if f < best_f:
-            best_f, best_wx, best_wy = f, wx.copy(), wy.copy()
-            best_coupling = objective.coupling
-        trace.append(best_f)
-
-        # linear-minimization oracle on each relaxed side
-        if R1 > 0:
-            wx_star = solve_weight_socp(
-                WeightSubproblem(phi, rho1, "minimize")
-            ).w
-        else:
-            wx_star = np.ones(m)
-        if R2 > 0:
-            wy_star = solve_weight_socp(
-                WeightSubproblem(psi, rho2, "maximize")
-            ).w
-        else:
-            wy_star = np.ones(n)
-        gap = float((wx - wx_star) @ phi) / m + float((wy_star - wy) @ psi) / n
-        scale = max(1.0, abs(best_f))
-        if gap <= params.rel_tol * scale:
-            converged = True
+    tol, cap = params.rel_tol, params.max_outer_iter
+    bounds = _Bounds(C, m, n, sides)
+    centre = z
+    f_centre, z_oracle = bounds.evaluate(z)
+    # the first proximal step is as long as the step to the cut's minimiser
+    g = np.concatenate([bounds.cuts[0][sl] for sl, _, _ in sides] or [[]])
+    t = t0 = float(np.linalg.norm(z_oracle - z)
+                   / max(np.linalg.norm(g), 1e-300))
+    lam = np.ones(1)
+    stalls = 0
+    while (sides and not bounds.certified(tol) and len(bounds.points) < cap
+           and stalls < _MAX_STALLS):
+        G = np.array(bounds.cuts)
+        lam = np.r_[lam, np.zeros(len(G) - lam.size)]
+        # solve each master well inside the outer tolerance, and tighter
+        # after a master whose points were all solved already
+        tol_master = 1e-2 * tol * max(1.0, abs(f_centre)) * 0.1**stalls
+        lam, z_prox, v = _master(G, centre, t, lam, sides, tol_master)
+        model = float(v.max())  # the cut model's value at the proximal point
+        z_agg = bounds.bound(lam @ G)
+        if bounds.certified(tol):
             break
-        if prev_f is not None and abs(f - prev_f) <= params.rel_tol * scale:
-            stagnant += 1
-            if stagnant >= _STAGNATION_RUNS:
-                converged = True
-                break
+        tried = []
+        if (G @ z_agg).max() < model and not bounds.seen(z_agg):
+            tried.append((bounds.evaluate(z_agg)[0], z_agg))
+        if (not bounds.certified(tol) and len(bounds.points) < cap
+                and not bounds.seen(z_prox)):
+            tried.append((bounds.evaluate(z_prox)[0], z_prox))
+        if not tried:
+            stalls += 1
+            continue
+        stalls = 0
+        f_new, z_new = min(tried, key=lambda fz: fz[0])
+        predicted = f_centre - model
+        if f_new <= f_centre - _DESCENT * predicted:
+            if f_new <= f_centre - 0.5 * predicted:
+                t *= 2.0
+            centre, f_centre = z_new, f_new
         else:
-            stagnant = 0
-        prev_f = f
+            t = max(0.5 * t, t0)
+        if len(bounds.cuts) > _MAX_CUTS:
+            lam = _compress(bounds, lam)
 
-        rule = params.update_rule
-        eta = 2.0 / (t + 2.0)
-        if rule == "averaged":
-            wx = wx + eta * (wx_star - wx)
-            wy = wy + eta * (wy_star - wy)
-        elif rule == "direct":
-            at_star = objective(wx_star, wy_star)
-            # adopt the oracle point when it is no worse, and always at t = 0
-            # (eta = 1), even if worse; its evaluation serves the next
-            # iteration.  Otherwise take the damped step, which may raise
-            # the objective too; only the best iterate is returned.
-            if at_star[0] <= f or eta == 1.0:
-                wx, wy = wx_star, wy_star
-                evaluated = at_star
-            else:
-                wx = wx + eta * (wx_star - wx)
-                wy = wy + eta * (wy_star - wy)
-        else:  # subgradient
-            st = 1.0 / np.sqrt(t + 1.0)
-            if R1 > 0:
-                gx = phi / m
-                nx = np.linalg.norm(gx)
-                if nx > 0:
-                    wx = project_simplex_ball(wx - (R1 * st / nx) * gx, rho1)
-            if R2 > 0:
-                gy = -psi / n
-                ny = np.linalg.norm(gy)
-                if ny > 0:
-                    wy = project_simplex_ball(wy - (R2 * st / ny) * gy, rho2)
-        moved = True
-
-        if small and (t + 1) % 5 == 0:
-            pol = _polish(objective, wx.copy(), wy.copy(), R1, R2)
-            if pol is not None:
-                f_pol = objective.batch_values(
-                    pol[0][None, :], pol[1][None, :]
-                )[0]
-                if f_pol <= min(f, best_f):
-                    wx, wy = pol
-                    evaluated = None
-                if f_pol < best_f:
-                    best_f = f_pol
-                    best_wx, best_wy = pol[0].copy(), pol[1].copy()
-                    best_coupling = None
-                # at a kink a single subgradient cannot certify a zero gap;
-                # two agreeing finisher solves serve as the certificate
-                if (
-                    last_polish_f is not None
-                    and abs(f_pol - last_polish_f) <= params.rel_tol * scale
-                ):
-                    converged = True
-                    break
-                last_polish_f = f_pol
-
-    if moved:
-        f = (objective(wx, wy) if evaluated is None else evaluated)[0]
-        if f < best_f:
-            best_f, best_wx, best_wy = f, wx.copy(), wy.copy()
-            best_coupling = objective.coupling
-    if small and not converged:
-        pol = _polish(objective, best_wx.copy(), best_wy.copy(), R1, R2)
-        if pol is not None:
-            f_pol = objective.batch_values(
-                pol[0][None, :], pol[1][None, :]
-            )[0]
-            if f_pol <= best_f:
-                best_f, best_wx, best_wy = f_pol, pol[0], pol[1]
-                best_coupling = None
-
-    wx, wy = _sanitize(best_wx, R1), _sanitize(best_wy, R2)
-    value = best_f
-    # the best LP iterate's plan is the coupling, unless the dense-dual
-    # path left no plan or sanitising moved the weights off its marginals
-    if best_coupling is None or max(
-        np.abs(wx - best_wx).max(), np.abs(wy - best_wy).max()
-    ) > _PLAN_WEIGHT_TOL:
-        value = objective._lp_eval(wx / m, wy / n)[0]
-        best_coupling = objective.coupling
-    trace.append(min(trace[-1], value) if trace else value)
+    z = bounds.z
     return RobustSolution(
-        value=value,
-        w_x=WeightVector(wx, rho1),
-        w_y=WeightVector(wy, rho2),
-        coupling=best_coupling,
-        trace=tuple(trace),
-        converged=converged,
-        gap=float(gap),
+        value=bounds.ub,
+        w_x=WeightVector(z[:m], params.rho1),
+        w_y=WeightVector(z[m:], params.rho2),
+        coupling=bounds.coupling,
+        trace=tuple(bounds.trace) + (bounds.ub,),
+        converged=bounds.certified(tol),
+        gap=float(bounds.ub - bounds.lb),
     )
 
 
-def _sanitize(w: np.ndarray, R: float) -> np.ndarray:
-    n = w.size
-    w = np.maximum(w, 0.0)
-    w *= n / w.sum()
-    nrm = np.linalg.norm(w - 1.0)
-    if R <= 0:
-        return np.ones(n)
-    if nrm > R:
-        w = 1.0 + (w - 1.0) * (R / nrm)
-        w = np.maximum(w, 0.0)
-        w *= n / w.sum()
-    return w
+def _compress(bounds: _Bounds, lam: np.ndarray) -> np.ndarray:
+    """Drop the cuts the last master left at zero, or fold all of its cuts
+    into their aggregate (itself a cut) when that still leaves too many;
+    returns the multipliers of the kept cuts."""
+    old = lam.size
+    new = bounds.cuts[old:]
+    keep = np.flatnonzero(lam > 0)
+    if keep.size + len(new) > _MAX_CUTS:
+        bounds.cuts = [lam @ np.array(bounds.cuts[:old])] + new
+        return np.ones(1)
+    bounds.cuts = [bounds.cuts[k] for k in keep] + new
+    return lam[keep]
 
 
 def solve_robust_one_sided(
@@ -429,13 +330,11 @@ def solve_robust_one_sided(
     *,
     max_outer_iter: int = RobustParams.max_outer_iter,
     rel_tol: float = RobustParams.rel_tol,
-    update_rule: str = RobustParams.update_rule,
     initial_weights: Optional[tuple] = None,
 ) -> RobustSolution:
     """Robust OT with only the first marginal relaxed."""
     params = RobustParams(
         rho1=rho, rho2=0.0, max_outer_iter=max_outer_iter, rel_tol=rel_tol,
-        update_rule=update_rule,
     )
     return solve_robust(mu, nu, cost, params, initial_weights=initial_weights)
 
@@ -459,7 +358,7 @@ def brute_force_robust(
     if not mu.is_uniform() or not nu.is_uniform():
         raise NonUniformInput("oracle assumes uniform atom masses")
     C = cost.entries
-    objective = _Objective(C, m, n)
+    evaluator = DenseDualEvaluator(C)
     R1, R2 = weight_radius(rho1, m), weight_radius(rho2, n)
 
     sizes, radii, layout = [], [], []
@@ -481,7 +380,7 @@ def brute_force_robust(
                 WX = W
             else:
                 WY = W
-        return objective.batch_values(WX, WY)
+        return evaluator.value_batch(WX / m, WY / n)
 
     _, best = _zoom.zoom_minimize(
         batch_objective,

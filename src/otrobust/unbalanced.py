@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import golden
 
-from .errors import DimensionMismatch, DomainError, NonConvergence
+from .errors import DimensionMismatch, DomainError
 from .measures import CostMatrix, DiscreteMeasure
 
 
@@ -82,8 +82,8 @@ def solve_unbalanced_chi2(
     Projected gradient with constant step 1/L; L is the largest eigenvalue
     bound of the quadratic, tau*(max_i 1/a_i + max_j 1/b_j) scaled by the
     marginal aggregation.  Stops when the projected-gradient-mapping norm
-    drops below tol; returns a flagged (not raised) NonConvergence result
-    via ``converged=False`` if max_iter is hit first.
+    drops below tol; if max_iter is hit first the result carries
+    ``converged=False`` rather than raising.
     """
     if tau <= 0:
         raise DomainError(f"tau must be > 0, got {tau}")

@@ -57,13 +57,15 @@ class WeightSubproblem:
         object.__setattr__(self, "d", d)
 
 
-def _prefix_scan(d: np.ndarray, R: float, project: bool) -> np.ndarray:
+def _prefix_scan(d: np.ndarray, R: float, project: bool):
     """Best KKT candidate ``w = n/k - s (d - mean_k)`` over prefix supports.
 
     Minimizes ``d . w`` over S, or with ``project`` returns the point of S
     nearest ``-d``, whose slope ``s`` is at most 1.  The per-``k`` statistics
     come from cumulative sums of ``d - d.min()``; the chosen point is then
-    recomputed from its own centred prefix.
+    recomputed from its own centred prefix.  Returns ``(w, support, s,
+    dev)``: the point, its support, its slope (0 when ``d`` is constant on
+    the support) and the centred ``d`` on the support.
     """
     n = d.size
     s_max = 1.0 if project else np.inf
@@ -94,59 +96,14 @@ def _prefix_scan(d: np.ndarray, R: float, project: bool) -> np.ndarray:
         s_k = min(s_max, np.sqrt(max(slack[kk - 1], 0.0) / var_k))
     w = np.zeros(n)
     w[order[:kk]] = np.maximum(n / kk - s_k * dev, 0.0)
-    return w
+    return w, order[:kk], s_k, dev
 
 
 def solve_weight_socp(p: WeightSubproblem) -> WeightVector:
     """Exact optimizer of w.d over the scaled simplex-ball intersection."""
     d = p.d if p.sense == "minimize" else -p.d
-    w = _prefix_scan(d, weight_radius(p.rho, d.size), project=False)
+    w = _prefix_scan(d, weight_radius(p.rho, d.size), project=False)[0]
     return WeightVector(w, p.rho)
-
-
-def penalized_weight_step(
-    w: WeightVector,
-    d: np.ndarray,
-    rho: float,
-    lam: float = 1000.0,
-    step: float = 1e-3,
-) -> WeightVector:
-    """One projected-gradient step on the penalty form of the subproblem.
-
-    Objective: w.d / n + lam * max(||w - 1||^2 / n - 2 rho, 0); after the
-    gradient step the weights are clamped at zero and rescaled to sum n.
-    Backtracks (halving the step up to 30 times) until the objective does
-    not increase; if that fails the input is returned with a stalled flag.
-    """
-    if lam <= 0 or step <= 0:
-        raise NegativeMass("lambda and step must be positive")
-    d = np.asarray(d, dtype=float).ravel()
-    n = w.n
-
-    def objective(wv):
-        pen = np.sum((wv - 1.0) ** 2) / n - 2.0 * rho
-        return float(wv @ d) / n + lam * max(pen, 0.0)
-
-    w0 = w.w
-    f0 = objective(w0)
-    grad = d / n
-    if np.sum((w0 - 1.0) ** 2) / n > 2.0 * rho:
-        grad = grad + lam * 2.0 * (w0 - 1.0) / n
-    eta = step
-    for _ in range(31):
-        cand = np.maximum(w0 - eta * grad, 0.0)
-        s = cand.sum()
-        if s <= 0:
-            eta *= 0.5
-            continue
-        cand = cand * (n / s)
-        if objective(cand) <= f0 + 1e-15:
-            # report with an unconstrained-ball rho so validation passes even
-            # while the penalty has not yet pulled the iterate into the ball
-            eff_rho = max(rho, np.sum((cand - 1.0) ** 2) / (2.0 * n) + 1e-12)
-            return WeightVector(cand, eff_rho)
-        eta *= 0.5
-    return WeightVector(w0, w.rho, stalled=True)
 
 
 def brute_force_weights(
@@ -189,4 +146,20 @@ def project_simplex_ball(z: np.ndarray, rho: float) -> np.ndarray:
     (z_i + lam + mu) / (1 + lam))``.
     """
     z = np.asarray(z, dtype=float).ravel()
-    return _prefix_scan(-z, weight_radius(rho, z.size), project=True)
+    return _prefix_scan(-z, weight_radius(rho, z.size), project=True)[0]
+
+
+def _projection(z: np.ndarray, R: float):
+    """Projection of z onto S (radius R) with a generalised Jacobian there.
+
+    On the support the projection is ``w = n/k + s c`` with ``c`` the
+    centred z; off it, zero.  The Jacobian is ``s (P - u u^T)`` on the
+    support, where ``P`` centres and ``u = c / ||c||`` while the ball binds
+    (``s < 1``, as ``s ||c||`` is then fixed), and zero elsewhere.  Returns
+    ``(w, support, s, u)`` with ``u`` None when the ball does not bind.
+    """
+    w, support, s, dev = _prefix_scan(-z, R, project=True)
+    nrm = float(np.linalg.norm(dev))
+    if nrm == 0.0 or s >= 1.0:
+        return w, support, 1.0, None
+    return w, support, s, dev / nrm

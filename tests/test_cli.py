@@ -155,12 +155,20 @@ def test_robust_rho_zero_matches_ot(clouds, capsys):
     assert rob_doc["convention"] == "scaled"
 
 
+def test_robust_rejects_rule_flag(clouds, capsys):
+    a, b = clouds
+    code = run(["robust", a, b, "--rho1", "0.05", "--rule", "averaged"])
+    assert code == cli.EXIT_INPUT
+    assert "unrecognized arguments: --rule" in capsys.readouterr().err
+
+
 def test_robust_emits_weights_and_trace(clouds, capsys):
     a, b = clouds
     code, doc = run_json(["robust", a, b, "--rho1", "0.05"], capsys)
     assert code in (0, 3)
     assert len(doc["weights_x"]) == 4
     assert len(doc["trace"]) >= 1
+    assert "rule" not in doc["params"]
     assert all(len(t) == 3 for t in doc["coupling"])
 
 

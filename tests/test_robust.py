@@ -4,8 +4,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from otrobust import robust
+from otrobust.analysis import construct_theorem2_instance
+from otrobust.datagen import (
+    RING_RADIUS_DEFAULT,
+    FarCluster,
+    gaussian_ring,
+    inject_outliers,
+)
 from otrobust.errors import InstanceTooLarge, NonUniformInput
-from otrobust.exact import make_evaluator, solve_exact
+from otrobust.exact import solve_exact
 from otrobust.measures import CostMatrix, cost_matrix, make_measure, weight_radius
 from otrobust.robust import (
     RobustParams,
@@ -14,14 +21,12 @@ from otrobust.robust import (
     solve_robust_one_sided,
 )
 
-RULES = ("averaged", "direct", "subgradient")
-
 
 def test_params_validation():
     with pytest.raises(ValueError):
         RobustParams(rho1=-0.1)
-    with pytest.raises(ValueError):
-        RobustParams(rho1=0.1, update_rule="newton")
+    with pytest.raises(TypeError):
+        RobustParams(rho1=0.1, update_rule="averaged")
     with pytest.raises(ValueError):
         RobustParams(rho1=0.1, max_outer_iter=0)
 
@@ -47,12 +52,9 @@ def test_rho_zero_equals_exact():
     nu = make_measure(rng.random((3, 2)))
     C = cost_matrix(mu, nu)
     exact = solve_exact(mu, nu, C).value
-    for rule in RULES:
-        sol = solve_robust(
-            mu, nu, C, RobustParams(rho1=0.0, rho2=0.0, update_rule=rule)
-        )
-        assert sol.value == pytest.approx(exact, abs=1e-9)
-        np.testing.assert_allclose(sol.w_x.w, 1.0)
+    sol = solve_robust(mu, nu, C, RobustParams(rho1=0.0, rho2=0.0))
+    assert sol.value == pytest.approx(exact, abs=1e-9)
+    np.testing.assert_allclose(sol.w_x.w, 1.0)
 
 
 def test_value_never_exceeds_exact():
@@ -71,11 +73,9 @@ def test_trace_non_increasing():
     mu = make_measure(rng.random((4, 2)))
     nu = make_measure(rng.random((4, 2)))
     C = cost_matrix(mu, nu)
-    for rule in RULES:
-        sol = solve_robust(
-            mu, nu, C, RobustParams(rho1=0.08, rho2=0.03, update_rule=rule)
-        )
-        assert np.all(np.diff(sol.trace) <= 1e-12)
+    sol = solve_robust(mu, nu, C, RobustParams(rho1=0.08, rho2=0.03))
+    assert np.all(np.diff(sol.trace) <= 1e-12)
+    assert sol.trace[-1] == sol.value
 
 
 def test_coupling_matches_reweighted_marginals():
@@ -91,7 +91,7 @@ def test_coupling_matches_reweighted_marginals():
     np.testing.assert_allclose(P.sum(axis=0), sol.w_y.w / 3, atol=1e-8)
 
 
-def test_all_rules_match_oracle():
+def test_matches_oracle():
     rng = np.random.default_rng(5)
     for _ in range(4):
         m, n = int(rng.integers(2, 5)), int(rng.integers(2, 5))
@@ -100,11 +100,8 @@ def test_all_rules_match_oracle():
         C = cost_matrix(mu, nu)
         rho1 = float(rng.choice([0.03, 0.1]))
         oracle = brute_force_robust(mu, nu, C, rho1=rho1, grid_resolution=2e-3)
-        for rule in RULES:
-            sol = solve_robust(
-                mu, nu, C, RobustParams(rho1=rho1, update_rule=rule)
-            )
-            assert abs(sol.value - oracle) <= 1e-3 * max(1.0, oracle)
+        sol = solve_robust(mu, nu, C, RobustParams(rho1=rho1))
+        assert abs(sol.value - oracle) <= 1e-3 * max(1.0, oracle)
 
 
 def test_one_sided_keeps_target_weights_fixed():
@@ -169,60 +166,38 @@ def test_gap_certificate_nonnegative_at_convergence():
     assert sol.gap >= -1e-10
 
 
-def assert_solution_consistent(mu, nu, C, params, dense):
-    m, n = mu.n, nu.n
-    assert (make_evaluator(C.entries) is not None) == dense
+@given(
+    m=st.integers(min_value=2, max_value=8),
+    n=st.integers(min_value=2, max_value=8),
+    two_sided=st.booleans(),
+    rho=st.sampled_from([0.02, 0.1, 0.3]),
+    seed=st.integers(min_value=0, max_value=10**6),
+)
+@settings(max_examples=40, deadline=None)
+def test_lp_path_solution_is_consistent(m, n, two_sided, rho, seed):
+    """Value, coupling, trace, weights and certificate agree, whether or
+    not the LP cap stops the solve first."""
+    rng = np.random.default_rng(seed)
+    mu = make_measure(rng.random((m, 2)))
+    nu = make_measure(rng.random((n, 2)))
+    params = RobustParams(rho1=rho, rho2=rho if two_sided else 0.0,
+                          max_outer_iter=6)
+    C = cost_matrix(mu, nu)
     sol = solve_robust(mu, nu, C, params)
     P = np.zeros((m, n))
     for i, j, v in sol.coupling:
         P[i, j] += v
     cost = float((P * C.entries).sum())
     assert sol.value == pytest.approx(cost, rel=1e-9, abs=1e-12)
-    assert sol.trace[-1] == pytest.approx(sol.value, rel=1e-9, abs=1e-12)
+    assert sol.trace[-1] == sol.value
+    assert np.all(np.diff(sol.trace) <= 0.0)
+    assert sol.converged == (sol.gap <= params.rel_tol * max(1.0, sol.value))
     np.testing.assert_allclose(P.sum(axis=1), sol.w_x.w / m, rtol=0, atol=1e-9)
     np.testing.assert_allclose(P.sum(axis=0), sol.w_y.w / n, rtol=0, atol=1e-9)
     for w, r, k in ((sol.w_x.w, params.rho1, m), (sol.w_y.w, params.rho2, n)):
         assert w.min() >= 0.0
         assert w.sum() == pytest.approx(k, abs=1e-9)
         assert np.linalg.norm(w - 1.0) <= weight_radius(r, k) + 1e-9
-
-
-@given(
-    m=st.integers(min_value=5, max_value=8),
-    n=st.integers(min_value=5, max_value=8),
-    two_sided=st.booleans(),
-    rho=st.sampled_from([0.02, 0.1, 0.3]),
-    seed=st.integers(min_value=0, max_value=10**6),
-)
-@settings(max_examples=25, deadline=None)
-def test_lp_path_solution_is_consistent(m, n, two_sided, rho, seed):
-    rng = np.random.default_rng(seed)
-    mu = make_measure(rng.random((m, 2)))
-    nu = make_measure(rng.random((n, 2)))
-    params = RobustParams(rho1=rho, rho2=rho if two_sided else 0.0,
-                          max_outer_iter=6)
-    assert_solution_consistent(mu, nu, cost_matrix(mu, nu), params,
-                               dense=False)
-
-
-@given(
-    m=st.integers(min_value=2, max_value=4),
-    n=st.integers(min_value=2, max_value=4),
-    two_sided=st.booleans(),
-    rho=st.sampled_from([0.02, 0.1, 0.3]),
-    seed=st.integers(min_value=0, max_value=10**6),
-)
-@settings(max_examples=25, deadline=None)
-def test_dense_dual_path_solution_is_consistent(m, n, two_sided, rho, seed):
-    """The dense-dual path has no plan: value, coupling and the last trace
-    entry come from one final LP at the returned weights."""
-    rng = np.random.default_rng(seed)
-    mu = make_measure(rng.random((m, 2)))
-    nu = make_measure(rng.random((n, 2)))
-    params = RobustParams(rho1=rho, rho2=rho if two_sided else 0.0,
-                          max_outer_iter=6)
-    assert_solution_consistent(mu, nu, cost_matrix(mu, nu), params,
-                               dense=True)
 
 
 def test_lp_path_warm_starts_and_certifies_every_call(monkeypatch):
@@ -246,8 +221,8 @@ def test_lp_path_warm_starts_and_certifies_every_call(monkeypatch):
     assert max(slack for _, slack in calls) <= 1e-9
 
 
-def test_direct_rule_makes_no_repeated_lp_call(monkeypatch):
-    """An adopted oracle point is not solved again at the next iteration."""
+def record_lp_calls(monkeypatch):
+    """Wrap the robust solver's LP; returns the list of (a, b, model)."""
     calls = []
     lp = robust._lp_transport
 
@@ -256,21 +231,83 @@ def test_direct_rule_makes_no_repeated_lp_call(monkeypatch):
         return lp(a, b, C, model)
 
     monkeypatch.setattr(robust, "_lp_transport", recorded)
+    return calls
+
+
+def test_no_lp_repeats_marginals(monkeypatch):
+    """No two LPs of one solve are at the same marginals."""
+    calls = record_lp_calls(monkeypatch)
     rng = np.random.default_rng(40)
     mu = make_measure(rng.random((40, 2)))
     nu = make_measure(rng.random((40, 2)))
-    params = RobustParams(rho1=0.1, rho2=0.05, max_outer_iter=20,
-                          update_rule="direct")
+    params = RobustParams(rho1=0.1, rho2=0.05, max_outer_iter=20)
     solve_robust(mu, nu, cost_matrix(mu, nu), params)
     assert len(calls) > 2
     assert calls[0][2] is not None
     assert all(model is calls[0][2] for _, _, model in calls)
-    for (a0, b0, _), (a1, b1, _) in zip(calls, calls[1:]):
-        assert not (
-            a0.shape == a1.shape and b0.shape == b1.shape
-            and np.abs(a0 - a1).max() <= 1e-12
-            and np.abs(b0 - b1).max() <= 1e-12
-        )
+    for k, (a1, b1, _) in enumerate(calls):
+        for a0, b0, _ in calls[:k]:
+            assert max(np.abs(a0 - a1).max(), np.abs(b0 - b1).max()) > 1e-12
+
+
+def figure1_pair():
+    """The README ring pair with 5% far outliers, as ``otrobust gen``
+    writes it (seeds 0 and 1, the second rotated by 0.785)."""
+    clean = gaussian_ring(4, n_samples=200, seed=0)
+    far = FarCluster([15.0 * RING_RADIUS_DEFAULT] * 2)
+    mu, _ = inject_outliers(clean, 0.05, far, seed=0)
+    nu = gaussian_ring(4, n_samples=200, rotation_rad=0.785, seed=1)
+    return mu, nu
+
+
+def test_figure1_converged_means_certified():
+    mu, nu = figure1_pair()
+    params = RobustParams(rho1=0.05 / (2 * 0.95))
+    sol = solve_robust(mu, nu, cost_matrix(mu, nu), params)
+    assert sol.converged
+    assert sol.gap <= params.rel_tol * max(1.0, sol.value)
+
+
+def test_two_sided_5x5_pairs_certify_and_agree_when_swapped():
+    rng = np.random.default_rng(5)
+    params = RobustParams(rho1=0.07, rho2=0.07)
+    for _ in range(5):
+        A = make_measure(rng.random((5, 2)))
+        B = make_measure(rng.random((5, 2)))
+        ab = solve_robust(A, B, cost_matrix(A, B), params)
+        ba = solve_robust(B, A, cost_matrix(B, A), params)
+        assert ab.converged and ba.converged
+        assert ab.value == pytest.approx(ba.value, rel=1e-6)
+
+
+def test_sqeuclidean_6x6_certifies():
+    A = gaussian_ring(2, n_samples=6, seed=1)
+    B = gaussian_ring(2, n_samples=6, rotation_rad=0.5, seed=2)
+    sol = solve_robust_one_sided(
+        A, B, cost_matrix(A, B, metric="sqeuclidean"), rho=0.05)
+    assert sol.converged
+    assert sol.value == pytest.approx(4.481409, abs=1e-6)
+    assert sol.gap <= 1e-7 * sol.value
+
+
+def test_self_pair_certifies_at_first_lp(monkeypatch):
+    calls = record_lp_calls(monkeypatch)
+    mu = make_measure(np.random.default_rng(13).random((6, 2)))
+    sol = solve_robust(mu, mu, cost_matrix(mu, mu),
+                       RobustParams(rho1=0.1, rho2=0.1))
+    assert sol.converged
+    assert len(calls) == 1
+    assert sol.value == pytest.approx(0.0, abs=1e-12)
+
+
+def test_theorem2_instance_certifies_within_two_lps(monkeypatch):
+    calls = record_lp_calls(monkeypatch)
+    inst = construct_theorem2_instance(4.0, 0.1, 20)
+    mixed = inst.mixed()
+    sol = solve_robust_one_sided(
+        mixed, inst.target, cost_matrix(mixed, inst.target), rho=0.3)
+    assert sol.converged
+    assert len(calls) <= 2
 
 
 def test_one_sided_rejects_unknown_keyword():

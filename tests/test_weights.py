@@ -4,11 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from otrobust.errors import InstanceTooLarge
-from otrobust.measures import WeightVector, weight_radius
+from otrobust.measures import weight_radius
 from otrobust.weights import (
     WeightSubproblem,
     brute_force_weights,
-    penalized_weight_step,
     project_simplex_ball,
     solve_weight_socp,
 )
@@ -103,32 +102,6 @@ def test_brute_force_size_cap():
 def test_brute_force_large_rho_vertex():
     wb = brute_force_weights(np.array([1.0, 2.0, 3.0]), 10.0, 1e-2)
     assert np.abs(wb.w - [3.0, 0.0, 0.0]).max() <= 2e-2
-
-
-def test_penalized_step_constant_d_no_move():
-    w = WeightVector(np.ones(3), 0.1)
-    out = penalized_weight_step(w, np.array([2.0, 2.0, 2.0]), 0.1)
-    np.testing.assert_allclose(out.w, 1.0, atol=1e-12)
-    assert not out.stalled
-
-
-def test_penalized_step_descends_on_high_cost_atom():
-    w = WeightVector(np.ones(2), 0.25)
-    out = penalized_weight_step(w, np.array([0.0, 10.0]), 0.25)
-    assert out.w[1] < 1.0
-    assert not out.stalled
-
-
-def test_penalized_iteration_approaches_socp():
-    d = np.array([1.0, 2.0, 3.0])
-    rho = 1 / 12
-    w = WeightVector(np.ones(3), rho)
-    for _ in range(4000):
-        w = penalized_weight_step(w, d, rho, lam=1000.0, step=1e-3)
-        if w.stalled:
-            break
-    target = socp(d, rho).w
-    assert np.abs(w.w - target).max() <= 5e-2
 
 
 def test_projection_identity_inside_set():
