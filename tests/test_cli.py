@@ -179,6 +179,15 @@ def test_sinkhorn_flag(clouds, capsys):
     assert doc["params"]["sinkhorn"] is True
 
 
+@pytest.mark.parametrize("eps", ["nan", "inf"])
+def test_sinkhorn_rejects_non_finite_eps(clouds, capsys, eps):
+    a, b = clouds
+    assert run(["ot", a, b, "--sinkhorn", "--eps", eps]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "epsilon" in captured.err
+
+
 def test_unbalanced_command(clouds, capsys):
     a, b = clouds
     code, doc = run_json(["unbalanced", a, b, "--tau", "10"], capsys)
