@@ -16,34 +16,71 @@ _SHRINK = 4
 _MAX_POINTS = 4_000_000
 
 
+def _rescale(W: np.ndarray) -> None:
+    """Clip the rows of W at 0 and scale each to sum n, in place; a row
+    with nothing left becomes all ones."""
+    n = W.shape[1]
+    np.maximum(W, 0.0, out=W)
+    s = W.sum(axis=1)
+    W *= (n / np.maximum(s, 1e-300))[:, None]
+    W[~(s > 0)] = 1.0
+
+
 def _project_block(W: np.ndarray, R: float) -> np.ndarray:
-    """Push near-feasible rows onto {w>=0, sum=n, ||w-1||<=R} (approximate)."""
-    n = W.shape[1]
-    W = np.maximum(W, 0.0)
-    s = W.sum(axis=1, keepdims=True)
-    W = np.where(s > 0, W * (n / np.maximum(s, 1e-300)), 1.0)
-    d = W - 1.0
-    nrm = np.linalg.norm(d, axis=1, keepdims=True)
-    W = 1.0 + d * np.minimum(1.0, R / np.maximum(nrm, 1e-300))
-    W = np.maximum(W, 0.0)
-    s = W.sum(axis=1, keepdims=True)
-    return np.where(s > 0, W * (n / np.maximum(s, 1e-300)), 1.0)
+    """Push near-feasible rows onto {w>=0, sum=n, ||w-1||<=R} (approximate),
+    in place."""
+    _rescale(W)
+    W -= 1.0
+    nrm = np.linalg.norm(W, axis=1, keepdims=True)
+    W *= np.minimum(1.0, R / np.maximum(nrm, 1e-300))
+    W += 1.0
+    _rescale(W)
+    return W
 
 
-def _near_feasible(W: np.ndarray, R: float, slack: float) -> np.ndarray:
-    n = W.shape[1]
-    ok = np.all(W >= -slack, axis=1)
-    ok &= np.linalg.norm(W - 1.0, axis=1) <= R + slack * n
-    return ok
+def _split(F: np.ndarray, sizes) -> list:
+    """(columns, last) per block of the lattice points F: the block's free
+    coordinates as columns of F, and the coordinate that closes its sum."""
+    out, at = [], 0
+    for n in sizes:
+        cols = [F[:, k] for k in range(at, at + n - 1)]
+        total = cols[0].copy() if cols else np.zeros(F.shape[0])
+        for c in cols[1:]:
+            total += c
+        out.append((cols, n - total))
+        at += n - 1
+    return out
+
+
+def _near_feasible(cols: list, last: np.ndarray, R: float,
+                   slack: float) -> np.ndarray:
+    """Rows within slack of the block's simplex-ball set, coordinate by
+    coordinate.  The squares are summed in the order ``np.linalg.norm``
+    sums a row, so the verdict is the row-wise norm's, bit for bit."""
+    n = len(cols) + 1
+    first, *rest = cols + [last]
+    ok = first >= -slack
+    sq = np.square(first - 1.0)
+    for c in rest:
+        ok &= c >= -slack
+        sq += np.square(c - 1.0)
+    return ok & (np.sqrt(sq) <= R + slack * n)
 
 
 def _grid_box(lo: np.ndarray, hi: np.ndarray, res: float) -> np.ndarray:
+    """The lattice over the box [lo, hi] at spacing res, one point per row
+    in the order of ``np.meshgrid(indexing="ij")``, filled column by column
+    into one Fortran-ordered array."""
     axes = [np.arange(l, h + res / 2, res) for l, h in zip(lo, hi)]
-    count = int(np.prod([len(ax) for ax in axes]))
+    lens = [len(ax) for ax in axes]
+    count = int(np.prod(lens))
     if count > _MAX_POINTS:
         raise MemoryError(f"lattice of {count} points exceeds budget")
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack([m.ravel() for m in mesh], axis=1)
+    F = np.empty((count, len(axes)), order="F")
+    grid = F.T.reshape(len(axes), *lens)  # a view: one axis per column
+    for k, ax in enumerate(axes):
+        grid[k] = ax.reshape([-1 if i == k else 1 for i in range(len(axes))])
+    return F
 
 
 def zoom_minimize(objective, sizes, radii, resolution, lipschitz, coarse=0.25):
@@ -59,20 +96,13 @@ def zoom_minimize(objective, sizes, radii, resolution, lipschitz, coarse=0.25):
     tot_dim = sum(dims)
     lipschitz = max(float(lipschitz), 1e-12)
 
-    def split_blocks(F):
-        out, at = [], 0
-        for n in sizes:
-            head = F[:, at : at + n - 1]
-            last = n - head.sum(axis=1, keepdims=True)
-            out.append(np.concatenate([head, last], axis=1))
-            at += n - 1
-        return out
-
-    def center_point():
-        return np.ones((1, tot_dim))
+    def blocks_at(F):
+        """The points F as one (N, n) weight array per block."""
+        return [np.column_stack(cols + [last]) for cols, last in
+                _split(F, sizes)]
 
     if tot_dim == 0:
-        blocks = split_blocks(np.zeros((1, 0)))
+        blocks = blocks_at(np.zeros((1, 0)))
         val = float(np.asarray(objective(blocks))[0])
         return [W[0] for W in blocks], val
 
@@ -101,16 +131,11 @@ def zoom_minimize(objective, sizes, radii, resolution, lipschitz, coarse=0.25):
             except MemoryError:
                 if shrink == 1:
                     raise
-        blocks = split_blocks(F)
         keep = np.ones(F.shape[0], dtype=bool)
-        for W, R in zip(blocks, radii):
-            keep &= _near_feasible(W, R, slack=res)
-        F = F[keep]
-        if F.shape[0] == 0:
-            F = center_point()
-        blocks = [
-            _project_block(W, R) for W, R in zip(split_blocks(F), radii)
-        ]
+        for (cols, last), R in zip(_split(F, sizes), radii):
+            keep &= _near_feasible(cols, last, R, slack=res)
+        F = F[keep] if keep.any() else np.ones((1, tot_dim))
+        blocks = [_project_block(W, R) for W, R in zip(blocks_at(F), radii)]
         vals = np.asarray(objective(blocks), dtype=float)
         k = int(np.argmin(vals))
         if vals[k] < best_val:

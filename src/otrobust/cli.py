@@ -176,6 +176,7 @@ def _cmd_robust(args) -> int:
         "coupling": _coupling_list(sol.coupling),
         "trace": list(sol.trace),
         "converged": bool(sol.converged),
+        "gap": sol.gap,
         "seed": None,
     }
     _emit(doc, args)

@@ -12,7 +12,11 @@ row bounds change, so dual simplex restarts from the last optimal basis.
 When the positive-mass supports of both measures are k atoms of mass 1/k
 each, the optimum is a permutation: :func:`linear_sum_assignment` finds it,
 and potentials come from shortest paths on the assignment's
-difference-constraint graph, falling back to the LP if they fail.
+difference-constraint graph, falling back to the LP if they fail.  A model's
+first solve at such marginals starts from the same shortest paths: the
+matched arcs and one tight arc into each row form an optimal spanning-tree
+basis (Ahuja, Magnanti & Orlin, *Network Flows*, 1993, ch. 9 and 11), which
+HiGHS confirms without a pivot.
 Both paths end with the same full check
 ``max_ij(u_i + v_j - c_ij) <= DUAL_FEAS_TOL * max(1, max|c_ij|)`` over all
 arcs, so every returned solution carries a checked dual certificate.
@@ -30,7 +34,12 @@ from typing import Optional
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
-from scipy.optimize._highspy._core import HighsModelStatus, _Highs
+from scipy.optimize._highspy._core import (
+    HighsBasis,
+    HighsBasisStatus,
+    HighsModelStatus,
+    _Highs,
+)
 
 from .errors import DimensionMismatch, SolverStall
 from .measures import CostMatrix, DiscreteMeasure, OtSolution, is_uniform_mass
@@ -67,7 +76,10 @@ class TransportModel:
     violations only on arcs already in the model, the LP is re-solved on all
     arcs, and :class:`SolverStall` is raised if that is still not certified.
     Presolve is off: a solve restarts from the last optimal basis, which only
-    a change of the right-hand side leaves dual feasible.
+    a change of the right-hand side leaves dual feasible.  The first solve,
+    when it is at uniform marginals on a square C larger than
+    ``PRICING_K``, starts from the optimal assignment's spanning-tree basis
+    (:meth:`_seed`) instead of from scratch; the certificate is the same.
     """
 
     def __init__(self, C: np.ndarray):
@@ -82,6 +94,7 @@ class TransportModel:
         self.arcs = np.zeros((m, n), dtype=bool)
         self.order = np.zeros(0, dtype=np.intp)  # flat index of each column
         self.rhs = np.zeros(m + n)  # the row bounds HiGHS holds
+        self.fresh = True  # no solve has run: HiGHS holds no basis yet
         cheap = np.full((m, n), min(m, n) <= PRICING_K)
         if not cheap.all():
             for axis in (0, 1):
@@ -102,6 +115,39 @@ class TransportModel:
         )
         self.arcs.flat[flat] = True
         self.order = np.concatenate([self.order, flat])
+
+    def _seed(self):
+        """Install the optimal assignment's spanning-tree basis.
+
+        Shortest paths from row 0 alone on the assignment's graph give
+        every other row i a tight predecessor k, i.e. a tight arc
+        (i, sigma(k)).  Each k is taken among the rows whose labels settled
+        in an earlier sweep than i's, so the predecessors form a tree
+        rooted at row 0 even where ties close zero-length cycles.  The n
+        matched arcs, these n - 1 arcs and row 0's slack (its dual is 0, as
+        its label is) are an optimal, degenerate basis.  The solve starts
+        cold instead when the sweeps reach no fixpoint or lower row 0's
+        label, or when HiGHS rejects the basis (it then keeps none).
+        """
+        n = self.C.shape[0]
+        sigma, _, W = _assignment(self.C)
+        paths = _shortest_paths(W, np.r_[0.0, np.full(n - 1, np.inf)])
+        if paths is None or paths[1][0]:
+            return
+        u, settled = paths
+        pred = np.where(settled[:, None] < settled[None, :],
+                        u[:, None] + W, np.inf).argmin(axis=0)
+        tree = np.zeros_like(self.arcs)
+        tree[np.arange(n), sigma] = True
+        tree[np.arange(1, n), sigma[pred[1:]]] = True
+        self._add(tree)
+        basic, lower = HighsBasisStatus.kBasic, HighsBasisStatus.kLower
+        basis = HighsBasis()
+        basis.col_status = [basic if t else lower
+                            for t in tree.flat[self.order].tolist()]
+        basis.row_status = [basic] + [lower] * (2 * n - 1)
+        basis.valid = True
+        self.highs.setBasis(basis)
 
     def _run(self):
         """Solve from the current basis; returns (arc masses, row duals)."""
@@ -134,6 +180,10 @@ class TransportModel:
         for r in np.flatnonzero(moved).tolist():
             self.highs.changeRowBounds(r, rhs[r], rhs[r])
         self.rhs[moved] = rhs[moved]
+        if (self.fresh and m == n > PRICING_K and is_uniform_mass(a)
+                and is_uniform_mass(b)):
+            self._seed()
+        self.fresh = False
         while True:
             x, y = self._run()
             u, v = y[:m], y[m:]
@@ -164,6 +214,33 @@ def _lp_transport(a: np.ndarray, b: np.ndarray, C: np.ndarray,
     return (TransportModel(C) if model is None else model).solve(a, b)
 
 
+def _assignment(C: np.ndarray):
+    """(sigma, matched, W) for square C: the optimal permutation, its arc
+    costs, and ``W[k, i] = c_i,sigma(k) - c_k,sigma(k)``, the length of the
+    edge k -> i of the graph whose shortest paths are dual potentials u
+    (``u_i - u_k <= W[k, i]``, with ``v_sigma(k) = c_k,sigma(k) - u_k``)."""
+    _, sigma = linear_sum_assignment(C)
+    matched = C[np.arange(C.shape[0]), sigma]
+    return sigma, matched, C[:, sigma].T - matched[:, None]
+
+
+def _shortest_paths(W: np.ndarray, u: np.ndarray):
+    """Bellman-Ford on the dense graph W (``W[i, i] = 0``) from the start
+    labels u, one vectorised sweep per round.  Returns (labels, settled),
+    ``settled[i]`` the sweep that last lowered label i (0 if none did), or
+    None when n + 1 sweeps reach no fixpoint.  A label lowered in sweep t is
+    tight along an edge from a label that settled before t."""
+    settled = np.zeros(u.size, dtype=np.intp)
+    for t in range(1, W.shape[0] + 2):
+        nxt = (u[:, None] + W).min(axis=0)  # W[i, i] = 0 keeps u_i itself
+        lowered = nxt < u
+        if not lowered.any():
+            return u, settled
+        settled[lowered] = t
+        u = nxt
+    return None
+
+
 def _assignment_transport(a: np.ndarray, b: np.ndarray, C: np.ndarray):
     """Uniform n x n transport as an assignment; returns (plan, u, v).
 
@@ -176,23 +253,17 @@ def _assignment_transport(a: np.ndarray, b: np.ndarray, C: np.ndarray):
     feasibility check.
     """
     n = C.shape[0]
-    rows, sigma = linear_sum_assignment(C)
-    matched = C[rows, sigma]
-    W = C[:, sigma].T - matched[:, None]  # W[k, i]: edge k -> i
-    u = np.zeros(n)
-    for _ in range(n + 1):
-        nxt = (u[:, None] + W).min(axis=0)  # W[i, i] = 0 keeps u_i itself
-        if np.array_equal(nxt, u):
-            break
-        u = nxt
-    else:
+    sigma, matched, W = _assignment(C)
+    paths = _shortest_paths(W, np.zeros(n))
+    if paths is None:
         return _lp_transport(a, b, C)
+    u = paths[0]
     v = np.empty(n)
     v[sigma] = matched - u
     if (u[:, None] + v[None, :] - C).max() > dual_feas_tol(C):
         return _lp_transport(a, b, C)
     plan = np.zeros((n, n))
-    plan[rows, sigma] = a
+    plan[np.arange(n), sigma] = a
     return plan, u, v
 
 

@@ -71,8 +71,10 @@ def solve_sinkhorn(
     the last), then rounds the plan back onto the exact marginal polytope.
     ``value`` is the transport cost of the returned coupling; ``gap`` is the
     pre-rounding l1 residual of the row marginals (the column marginals are
-    exact after each column update).  If the residual still exceeds tol at
-    max_iter, the best iterate is returned with ``converged=False``.
+    exact after each column update).  If max_iter runs out before the
+    residual at the target epsilon is within tol, the plan of the level
+    where the loop stopped is rounded and returned, with that level's
+    residual as ``gap`` and ``converged=False``.
     """
     if not 0 < epsilon < np.inf:
         raise DomainError(f"epsilon must be finite and > 0, got {epsilon}")
@@ -130,7 +132,7 @@ def solve_sinkhorn(
             # the columns are exact after the v-update; the rows' sums give
             # the residual here and the next u-update
             Kv = K @ v
-            if it % 10 == 0 or last:
+            if it % 10 == 0 or last or it >= max_iter:
                 residual = float(np.abs(u * Kv - a).sum())
                 if residual <= tol:
                     break
@@ -139,9 +141,10 @@ def solve_sinkhorn(
         f, g = f + eps * np.log(u), g + eps * np.log(v)
         if it >= max_iter:
             break
-    converged = residual <= tol
+    converged = last and residual <= tol
 
-    P = _round_to_marginals(_kernel(f, g, Cs, epsilon)[0], a, b)
+    # the plan of the level that ran last: its potentials belong to its eps
+    P = _round_to_marginals(_kernel(f, g, Cs, eps)[0], a, b)
     triplets, value = _coupling(C, ia, jb, P)
     phi, psi = _full_potentials(C, a_full, ia, jb, f, g)
     return OtSolution(

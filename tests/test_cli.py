@@ -172,6 +172,26 @@ def test_robust_emits_weights_and_trace(clouds, capsys):
     assert all(len(t) == 3 for t in doc["coupling"])
 
 
+@pytest.mark.parametrize("n, rho2", [(4, 0.0), (4, 0.05), (30, 0.0),
+                                     (30, 0.02)])
+def test_robust_reports_certified_gap(tmp_path, capsys, n, rho2):
+    """``gap`` is the certified upper minus lower bound: within the default
+    tolerance whenever ``converged`` is set (n=30 starts from the
+    assignment's basis)."""
+    paths = []
+    for name, seed in (("a", 5), ("b", 6)):
+        p = tmp_path / f"{name}.csv"
+        write_measure_csv(gaussian_ring(3, n_samples=n, seed=seed), str(p))
+        paths.append(str(p))
+    code, doc = run_json(["robust", *paths, "--rho1", "0.05",
+                          "--rho2", str(rho2)], capsys)
+    assert code == (0 if doc["converged"] else 3)
+    # both bounds are rounded: the lower can end a few ulps above the upper
+    assert doc["gap"] >= -1e-12 * max(1.0, doc["value"])
+    if doc["converged"]:
+        assert doc["gap"] <= 1e-7 * max(1.0, doc["value"])
+
+
 def test_sinkhorn_flag(clouds, capsys):
     a, b = clouds
     code, doc = run_json(["ot", a, b, "--sinkhorn", "--eps", "0.05"], capsys)

@@ -6,12 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 from scipy.optimize import linprog
+from scipy.optimize._highspy._core import HighsStatus
 
 from otrobust import exact
 from otrobust.errors import DimensionMismatch, SolverStall
 from otrobust.exact import (
     DenseDualEvaluator,
     TransportModel,
+    _assignment_transport,
     _lp_transport,
     dual_feas_tol,
     dual_vertex_budget,
@@ -222,8 +224,7 @@ def test_assignment_path_is_certified(n, kind, seed):
     else:
         C = cost_matrix(mu, nu)
     sol = solve_exact(mu, nu, C)
-    plan, _, _ = _lp_transport(mu.mass, nu.mass, C.entries)
-    lp_value = float((plan * C.entries).sum())
+    lp_value = dense_lp_value(mu.mass, nu.mass, C.entries)
     assert sol.value == pytest.approx(lp_value, rel=1e-9, abs=1e-12)
     slack = sol.potential_x[:, None] - sol.potential_y[None, :] - C.entries
     assert slack.max() <= 1e-9
@@ -478,3 +479,108 @@ def test_masses_off_by_rounding_solve():
     assert sol.value == pytest.approx(reference, rel=1e-8)
     slack = sol.potential_x[:, None] - sol.potential_y[None, :] - C.entries
     assert slack.max() <= 1e-9
+
+
+def uniform_square_instance(rng, n, kind):
+    """An n x n cost whose optimal assignment has many ties for ``ties``
+    (small integer costs) and ``duplicates`` (points repeated on both
+    sides, on a coarse integer grid)."""
+    if kind == "random":
+        return cost_matrix(make_measure(rng.random((n, 2))),
+                           make_measure(rng.random((n, 2)))).entries
+    if kind == "ties":
+        return rng.integers(0, 4, (n, n)).astype(float)
+    pts = rng.integers(0, 3, (n, 2)).astype(float)
+    other = pts[rng.permutation(n)]
+    other[: n // 3] = rng.integers(0, 3, (n // 3, 2))
+    return cost_matrix(make_measure(pts), make_measure(other)).entries
+
+
+def _seeded_solve(C):
+    """(plan, u, v, simplex iterations) of a fresh model's first solve at
+    uniform marginals."""
+    n = C.shape[0]
+    a = np.full(n, 1.0 / n)
+    model = TransportModel(C)
+    plan, u, v = model.solve(a, a)
+    return plan, u, v, model.highs.getInfo().simplex_iteration_count
+
+
+@pytest.mark.parametrize("kind", ["random", "ties", "duplicates"])
+@pytest.mark.parametrize("seed", range(8))
+def test_seeded_first_solve_matches_assignment(kind, seed):
+    """At uniform marginals the model starts from the assignment's
+    spanning-tree basis: HiGHS confirms it without a pivot, and the solve
+    gives the assignment path's value, exact marginals and a certificate,
+    ties included."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(6, 41))
+    C = uniform_square_instance(rng, n, kind)
+    a = np.full(n, 1.0 / n)
+    plan, u, v, iterations = _seeded_solve(C)
+    assert iterations == 0
+    reference = _assignment_transport(a, a, C)[0]
+    assert float((plan * C).sum()) == pytest.approx(
+        float((reference * C).sum()), rel=1e-12, abs=1e-15)
+    assert_certified(a, a, C, plan, u, v)
+
+
+def test_seeded_model_hot_starts_like_fresh_models():
+    """Marginals solved one after another on a seeded model give what a
+    fresh (cold) model gives for each."""
+    rng = np.random.default_rng(43)
+    C = uniform_square_instance(rng, 40, "random")
+    model = TransportModel(C)
+    a = np.full(40, 1.0 / 40)
+    model.solve(a, a)
+    assert model.highs.getInfo().simplex_iteration_count == 0
+    for _ in range(5):
+        a2, b2, _ = non_uniform_instance(rng, 40, 40, "random")
+        plan, u, v = model.solve(a2, b2)
+        fresh = TransportModel(C).solve(a2, b2)[0]
+        assert float((plan * C).sum()) == pytest.approx(
+            float((fresh * C).sum()), rel=1e-12)
+        assert_certified(a2, b2, C, plan, u, v)
+
+
+class _RejectingHighs:
+    """Stand-in for a model's HiGHS object that passes each basis on with
+    one row status missing, so that HiGHS rejects it."""
+
+    def __init__(self, highs):
+        self.highs, self.statuses = highs, []
+
+    def setBasis(self, basis):
+        basis.row_status = basis.row_status[:-1]
+        self.statuses.append(self.highs.setBasis(basis))
+        return self.statuses[-1]
+
+    def __getattr__(self, name):
+        return getattr(self.highs, name)
+
+
+@pytest.mark.parametrize("fault", ["no fixpoint", "rejected", "loose tree"])
+def test_seed_fallbacks_still_certify(monkeypatch, fault):
+    """A seed that cannot be installed leaves the solve to start cold; a
+    spanning tree whose arcs are not tight is pivoted to the optimum.  The
+    all-arc certificate decides either way."""
+    rng = np.random.default_rng(44)
+    C = uniform_square_instance(rng, 30, "ties")
+    a = np.full(30, 1.0 / 30)
+    paths = exact._shortest_paths
+    if fault == "no fixpoint":
+        monkeypatch.setattr(exact, "_shortest_paths", lambda W, u: None)
+    elif fault == "loose tree":
+        # no label settled before another: every predecessor is row 0
+        monkeypatch.setattr(exact, "_shortest_paths",
+                            lambda W, u: (paths(W, u)[0], np.zeros(30, int)))
+    model = TransportModel(C)
+    if fault == "rejected":
+        model.highs = _RejectingHighs(model.highs)
+    plan, u, v = model.solve(a, a)
+    if fault == "rejected":
+        assert model.highs.statuses == [HighsStatus.kError]
+    assert model.highs.getInfo().simplex_iteration_count > 0
+    assert float((plan * C).sum()) == pytest.approx(
+        dense_lp_value(a, a, C), rel=1e-9, abs=1e-12)
+    assert_certified(a, a, C, plan, u, v)

@@ -36,7 +36,7 @@ def _log_domain_sinkhorn(a_full, b_full, C, epsilon, max_iter, tol):
             g = g + eps * (lb - logsumexp(M, axis=0))
             M = (f[:, None] + g[None, :] - Cs) / eps
             lse_r = logsumexp(M, axis=1)
-            if it % 10 == 0 or last:
+            if it % 10 == 0 or last or it >= max_iter:
                 residual = float(np.abs(np.exp(lse_r) - a).sum())
                 if residual <= tol:
                     break
@@ -44,9 +44,9 @@ def _log_domain_sinkhorn(a_full, b_full, C, epsilon, max_iter, tol):
                 break
         if it >= max_iter:
             break
-    P = np.exp((f[:, None] + g[None, :] - Cs) / epsilon)
+    P = np.exp((f[:, None] + g[None, :] - Cs) / eps)
     P = _round_to_marginals(P, a, b)
-    return _coupling(C, ia, jb, P)[1], residual <= tol
+    return _coupling(C, ia, jb, P)[1], last and residual <= tol
 
 
 def _masses(draw, k):
@@ -220,6 +220,25 @@ def test_nonconvergence_flagged_not_raised():
     # the rounded plan is feasible regardless
     P = sol.coupling_dense()
     np.testing.assert_allclose(P.sum(axis=1), mu.mass, atol=1e-10)
+
+
+@pytest.mark.parametrize("max_iter", [3, 60])
+def test_budget_spent_before_target_keeps_the_plan_that_ran(max_iter):
+    """A budget that runs out at a coarser epsilon rounds that level's plan,
+    not the target's kernel at the coarse potentials (which rounds to the
+    independent coupling a b^T)."""
+    rng = np.random.default_rng(0)
+    mu = make_measure(rng.random((8, 2)))
+    nu = make_measure(rng.random((8, 2)))
+    C = cost_matrix(mu, nu)
+    sol = solve_sinkhorn(mu, nu, C, epsilon=1e-3, max_iter=max_iter)
+    assert not sol.converged
+    P = sol.coupling_dense()
+    assert sol.value == pytest.approx(float((P * C.entries).sum()), rel=1e-12)
+    independent = float(mu.mass @ C.entries @ nu.mass)
+    assert sol.value < independent - 1e-3
+    assert sol.value >= solve_exact(mu, nu, C).value - 1e-12
+    assert np.isfinite(sol.gap) and sol.gap > 0
 
 
 def test_zero_mass_atoms_ok():
