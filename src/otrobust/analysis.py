@@ -144,40 +144,29 @@ def sweep_rho(
     """One-sided robust value along an ascending rho grid.
 
     Grid points are solved in order, each warm-started from the previous
-    point's weights; a second pass re-solves any point that came out above
-    its predecessor, again from the predecessor's weights.  Warm starts are
-    feasible because the ball only grows with rho, so the repaired curve is
-    non-increasing by construction.  ``converged`` is true when every
-    point's final solve certified its gap.
+    point's weights.  Warm starts are feasible because the ball only grows
+    with rho, and a solve's first LP is at its warm start, so a point can
+    exceed its predecessor only by rounding; such a point is clamped to its
+    predecessor, which keeps the curve non-increasing.  ``converged`` is
+    true when every point's solve certified its gap.
     """
     grid = np.asarray(list(rho_grid), dtype=float).ravel()
     if np.any(np.diff(grid) <= 0) or np.any(grid < 0):
         raise DomainError("rho grid must be ascending and non-negative")
 
-    def solve_at(rho, init=None):
-        params = RobustParams(
-            rho1=float(rho), rho2=0.0,
-            max_outer_iter=max_outer_iter, rel_tol=rel_tol,
-        )
-        return solve_robust(mu, nu, cost, params, initial_weights=init)
-
-    # warm-started chain: the ball grows with rho, so the previous
-    # optimum is always feasible and usually nearly optimal
     sols = []
     init = None
     for r in grid:
-        s = solve_at(r, init=init)
-        sols.append(s)
-        init = (s.w_x.w, np.ones(nu.n))
+        params = RobustParams(
+            rho1=float(r), rho2=0.0,
+            max_outer_iter=max_outer_iter, rel_tol=rel_tol,
+        )
+        sols.append(solve_robust(mu, nu, cost, params, initial_weights=init))
+        init = (sols[-1].w_x.w, np.ones(nu.n))
 
     values = [s.value for s in sols]
     for i in range(1, grid.size):
         if values[i] > values[i - 1] + 1e-10:
-            init = (sols[i - 1].w_x.w, np.ones(nu.n))
-            redo = solve_at(grid[i], init=init)
-            if redo.value < values[i]:
-                sols[i] = redo
-                values[i] = redo.value
             values[i] = min(values[i], values[i - 1])
     return RhoCurve(rho_grid=grid, values=np.array(values),
                     converged=all(s.converged for s in sols))

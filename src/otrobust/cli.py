@@ -9,20 +9,15 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
 from . import analysis, datagen
 from .errors import OtError, SolverStall
 from .exact import solve_exact
-from .measures import (
-    CostMatrix,
-    DiscreteMeasure,
-    cost_matrix,
-    make_measure,
-)
+from .measures import DiscreteMeasure, cost_matrix, make_measure
 from .robust import RobustParams, solve_robust
 from .sinkhorn import solve_sinkhorn
 from .unbalanced import solve_unbalanced_chi2
@@ -67,46 +62,51 @@ def read_measure(path: str) -> DiscreteMeasure:
     return make_measure(pts, mass if has_mass else None)
 
 
-def write_measure_csv(mu: DiscreteMeasure, path_or_fh):
-    close = False
-    if isinstance(path_or_fh, str):
-        fh = open(path_or_fh, "w", newline="")
-        close = True
-    else:
-        fh = path_or_fh
-    try:
+def write_measure_csv(mu: DiscreteMeasure, path: str) -> None:
+    with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow([f"x{i}" for i in range(mu.dim)] + ["mass"])
         for p, m in zip(mu.points, mu.mass):
             w.writerow([repr(float(v)) for v in p] + [repr(float(m))])
-    finally:
-        if close:
-            fh.close()
+
+
+def _load_pair(args):
+    """The ``source`` and ``target`` measures and their cost matrix."""
+    mu, nu = read_measure(args.source), read_measure(args.target)
+    return mu, nu, cost_matrix(mu, nu, metric=args.metric)
 
 
 def _coupling_list(coupling) -> list:
     return [[int(i), int(j), float(v)] for i, j, v in coupling]
 
 
-def _emit(doc: dict, args) -> None:
-    text = json.dumps(doc, indent=2, default=_json_default)
+def _document(command: str, params: dict, **fields) -> dict:
+    """A result document: the keys every command carries, then its own."""
+    doc = {"command": command, "params": params, "value": None,
+           "weights_x": None, "weights_y": None, "coupling": None,
+           "trace": None, "converged": True, "seed": None}
+    doc.update(fields)
+    return doc
+
+
+def _emit(doc: dict, args=None) -> int:
+    """Write ``doc`` to ``--out`` (else stdout) and its arrays as ``--csv``
+    tables; returns the exit code its ``converged`` flag gives."""
+    text = json.dumps(doc, indent=2, default=_json_default) + "\n"
     out = getattr(args, "out", None)
     if out:
         with open(out, "w") as fh:
-            fh.write(text + "\n")
+            fh.write(text)
     else:
-        sys.stdout.write(text + "\n")
+        sys.stdout.write(text)
     if getattr(args, "csv", None):
         _emit_csv_tables(doc, args.csv)
+    return EXIT_OK if doc["converged"] else EXIT_NOCONV
 
 
 def _json_default(o):
-    if isinstance(o, np.ndarray):
+    if isinstance(o, (np.ndarray, np.generic)):
         return o.tolist()
-    if isinstance(o, (np.floating, np.integer)):
-        return o.item()
-    if isinstance(o, (np.bool_,)):
-        return bool(o)
     raise TypeError(f"not JSON serializable: {type(o)}")
 
 
@@ -134,81 +134,46 @@ def _emit_csv_tables(doc: dict, prefix: str):
 # ---------------------------------------------------------------------------
 
 def _cmd_ot(args) -> int:
-    mu = read_measure(args.source)
-    nu = read_measure(args.target)
-    C = cost_matrix(mu, nu, metric=args.metric)
+    mu, nu, C = _load_pair(args)
     if args.sinkhorn:
         sol = solve_sinkhorn(mu, nu, C, epsilon=args.eps)
     else:
         sol = solve_exact(mu, nu, C)
-    doc = {
-        "command": "ot",
-        "params": {"metric": args.metric, "sinkhorn": bool(args.sinkhorn),
-                   "eps": args.eps if args.sinkhorn else None},
-        "value": sol.value,
-        "weights_x": None,
-        "weights_y": None,
-        "convention": "scaled",
-        "coupling": _coupling_list(sol.coupling),
-        "trace": None,
-        "converged": bool(sol.converged),
-        "seed": None,
-    }
-    _emit(doc, args)
-    return EXIT_OK if sol.converged else EXIT_NOCONV
+    return _emit(_document(
+        "ot", {"metric": args.metric, "sinkhorn": bool(args.sinkhorn),
+               "eps": args.eps if args.sinkhorn else None},
+        value=sol.value, coupling=_coupling_list(sol.coupling),
+        converged=bool(sol.converged), convention="scaled",
+    ), args)
 
 
 def _cmd_robust(args) -> int:
-    mu = read_measure(args.source)
-    nu = read_measure(args.target)
-    C = cost_matrix(mu, nu, metric=args.metric)
+    mu, nu, C = _load_pair(args)
     params = RobustParams(rho1=args.rho1, rho2=args.rho2,
                           max_outer_iter=args.max_iter)
     sol = solve_robust(mu, nu, C, params)
-    doc = {
-        "command": "robust",
-        "params": {"rho1": args.rho1, "rho2": args.rho2,
+    return _emit(_document(
+        "robust", {"rho1": args.rho1, "rho2": args.rho2,
                    "metric": args.metric},
-        "value": sol.value,
-        "weights_x": sol.w_x.w.tolist(),
-        "weights_y": sol.w_y.w.tolist(),
-        "convention": "scaled",
-        "coupling": _coupling_list(sol.coupling),
-        "trace": list(sol.trace),
-        "converged": bool(sol.converged),
-        "gap": sol.gap,
-        "seed": None,
-    }
-    _emit(doc, args)
-    return EXIT_OK if sol.converged else EXIT_NOCONV
+        value=sol.value, weights_x=sol.w_x.w.tolist(),
+        weights_y=sol.w_y.w.tolist(), coupling=_coupling_list(sol.coupling),
+        trace=list(sol.trace), converged=bool(sol.converged),
+        convention="scaled", gap=sol.gap,
+    ), args)
 
 
 def _cmd_unbalanced(args) -> int:
-    mu = read_measure(args.source)
-    nu = read_measure(args.target)
-    C = cost_matrix(mu, nu, metric=args.metric)
+    mu, nu, C = _load_pair(args)
     sol = solve_unbalanced_chi2(mu, nu, C, tau=args.tau)
-    P = sol.coupling
-    coupling = [
-        [int(i), int(j), float(P[i, j])]
-        for i, j in zip(*np.nonzero(P > 1e-12))
-    ]
-    doc = {
-        "command": "unbalanced",
-        "params": {"tau": args.tau, "metric": args.metric},
-        "value": sol.value,
-        "weights_x": None,
-        "weights_y": None,
-        "convention": "scaled",
-        "coupling": coupling,
-        "trace": None,
-        "converged": bool(sol.converged),
-        "seed": None,
-        "marginal_penalty_x": sol.marginal_penalty_x,
-        "marginal_penalty_y": sol.marginal_penalty_y,
-    }
-    _emit(doc, args)
-    return EXIT_OK if sol.converged else EXIT_NOCONV
+    support = np.nonzero(sol.coupling > 1e-12)
+    return _emit(_document(
+        "unbalanced", {"tau": args.tau, "metric": args.metric},
+        value=sol.value,
+        coupling=_coupling_list(zip(*support, sol.coupling[support])),
+        converged=bool(sol.converged), convention="scaled",
+        marginal_penalty_x=sol.marginal_penalty_x,
+        marginal_penalty_y=sol.marginal_penalty_y,
+    ), args)
 
 
 def _parse_grid(spec: str) -> np.ndarray:
@@ -228,54 +193,27 @@ def _parse_grid(spec: str) -> np.ndarray:
 
 
 def _cmd_sweep(args) -> int:
-    mu = read_measure(args.source)
-    nu = read_measure(args.target)
-    C = cost_matrix(mu, nu, metric=args.metric)
-    grid = _parse_grid(args.rho_grid)
-    curve = analysis.sweep_rho(mu, nu, C, grid)
-    elbow = None
-    if args.elbow:
-        e = analysis.detect_elbow(curve)
-        elbow = {"rho": e.rho, "index": e.index, "flat": e.flat}
-    doc = {
-        "command": "sweep",
-        "params": {"rho_grid": args.rho_grid, "metric": args.metric},
-        "value": curve.values[-1],
-        "rho_grid": curve.rho_grid.tolist(),
-        "values": curve.values.tolist(),
-        "elbow": elbow,
-        "weights_x": None,
-        "weights_y": None,
-        "coupling": None,
-        "trace": None,
-        "converged": curve.converged,
-        "seed": None,
-    }
-    _emit(doc, args)
-    return EXIT_OK if curve.converged else EXIT_NOCONV
+    mu, nu, C = _load_pair(args)
+    curve = analysis.sweep_rho(mu, nu, C, _parse_grid(args.rho_grid))
+    elbow = asdict(analysis.detect_elbow(curve)) if args.elbow else None
+    return _emit(_document(
+        "sweep", {"rho_grid": args.rho_grid, "metric": args.metric},
+        value=curve.values[-1], converged=curve.converged,
+        rho_grid=curve.rho_grid.tolist(), values=curve.values.tolist(),
+        elbow=elbow,
+    ), args)
 
 
 def _cmd_bound(args) -> int:
     inst = analysis.construct_theorem2_instance(args.k, args.gamma, args.n_atoms)
     rep = analysis.verify_theorem2(inst, args.rho)
-    doc = {
-        "command": "bound",
-        "params": {"k": args.k, "gamma": args.gamma, "rho": args.rho,
-                   "n_atoms": args.n_atoms},
-        "value": rep["lhs"],
-        "lhs": rep["lhs"],
-        "rhs": rep["rhs"],
-        "bound_factor": analysis.theorem2_bound(args.k, args.gamma, args.rho),
-        "holds": rep["holds"],
-        "weights_x": None,
-        "weights_y": None,
-        "coupling": None,
-        "trace": None,
-        "converged": True,
-        "seed": None,
-    }
-    _emit(doc, args)
-    return EXIT_OK
+    return _emit(_document(
+        "bound", {"k": args.k, "gamma": args.gamma, "rho": args.rho,
+                  "n_atoms": args.n_atoms},
+        value=rep["lhs"], lhs=rep["lhs"], rhs=rep["rhs"],
+        bound_factor=analysis.theorem2_bound(args.k, args.gamma, args.rho),
+        holds=rep["holds"],
+    ), args)
 
 
 def _cmd_gen(args) -> int:
@@ -299,63 +237,30 @@ def _cmd_gen(args) -> int:
         )
     if args.out:
         write_measure_csv(mu, args.out)
-        doc_points = None
-    else:
-        doc_points = mu.points.tolist()
-    doc = {
-        "command": "gen",
-        "params": {"modes": args.modes, "radius": args.radius,
-                   "sigma": args.sigma, "n": args.n, "rot": args.rot,
-                   "outliers": args.outliers,
-                   "outlier_mode": args.outlier_mode},
-        "value": None,
-        "points": doc_points,
-        "labels": labels.tolist(),
-        "out": args.out,
-        "weights_x": None,
-        "weights_y": None,
-        "coupling": None,
-        "trace": None,
-        "converged": True,
-        "seed": args.seed,
-    }
-    # gen writes its payload to --out as CSV; the JSON doc goes to stdout
-    text = json.dumps(doc, indent=2, default=_json_default)
-    sys.stdout.write(text + "\n")
-    return EXIT_OK
+    # gen writes its cloud to --out as CSV; the document goes to stdout
+    return _emit(_document(
+        "gen", {"modes": args.modes, "radius": args.radius,
+                "sigma": args.sigma, "n": args.n, "rot": args.rot,
+                "outliers": args.outliers, "outlier_mode": args.outlier_mode},
+        points=None if args.out else mu.points.tolist(),
+        labels=labels.tolist(), out=args.out, seed=args.seed,
+    ))
 
 
 def _cmd_props(args) -> int:
-    samples = [read_measure(p) for p in args.inputs]
-
-    def cfn(A, B):
-        return cost_matrix(A, B, metric=args.metric)
-
-    rep = analysis.metric_properties_report(samples, cfn, args.rho)
-    doc = {
-        "command": "props",
-        "params": {"rho": args.rho, "metric": args.metric,
-                   "inputs": list(args.inputs)},
-        "value": None,
-        "nonnegativity_ok": rep.nonnegativity_ok,
-        "identity_ok": rep.identity_ok,
-        "identity_max_dev": rep.identity_max_dev,
-        "symmetry_max_rel_dev": rep.symmetry_max_rel_dev,
-        "triangle_violations": [list(v) for v in rep.triangle_violations],
-        "pairwise_values": rep.values.tolist(),
-        "weights_x": None,
-        "weights_y": None,
-        "coupling": None,
-        "trace": None,
-        "converged": True,
-        "seed": None,
-    }
-    _emit(doc, args)
-    return EXIT_OK
-
-
-def _svg_escape(s):
-    return str(s)
+    rep = analysis.metric_properties_report(
+        [read_measure(p) for p in args.inputs],
+        lambda A, B: cost_matrix(A, B, metric=args.metric), args.rho,
+    )
+    return _emit(_document(
+        "props", {"rho": args.rho, "metric": args.metric,
+                  "inputs": list(args.inputs)},
+        nonnegativity_ok=rep.nonnegativity_ok, identity_ok=rep.identity_ok,
+        identity_max_dev=rep.identity_max_dev,
+        symmetry_max_rel_dev=rep.symmetry_max_rel_dev,
+        triangle_violations=[list(v) for v in rep.triangle_violations],
+        pairwise_values=rep.values.tolist(),
+    ), args)
 
 
 def _cmd_couplings_svg(args) -> int:
@@ -366,10 +271,6 @@ def _cmd_couplings_svg(args) -> int:
     if mu.dim != 2 or nu.dim != 2:
         raise OtError("SVG rendering needs 2-D point clouds")
     coupling = doc.get("coupling") or []
-    wx = doc.get("weights_x")
-    wy = doc.get("weights_y")
-    wx = np.ones(mu.n) if wx is None else np.asarray(wx, dtype=float)
-    wy = np.ones(nu.n) if wy is None else np.asarray(wy, dtype=float)
 
     all_pts = np.concatenate([mu.points, nu.points])
     lo = all_pts.min(axis=0)
@@ -396,20 +297,14 @@ def _cmd_couplings_svg(args) -> int:
             f'<line x1="{x1:.1f}" y1="{y1:.1f}" x2="{x2:.1f}" y2="{y2:.1f}" '
             f'stroke="green" stroke-opacity="{op:.3f}" stroke-width="1"/>'
         )
-    for p, w in zip(mu.points, wx):
-        x, y = to_px(p)
-        r = 1.0 + 3.0 * float(w)
-        parts.append(
-            f'<circle cx="{x:.1f}" cy="{y:.1f}" r="{r:.2f}" fill="red" '
-            f'fill-opacity="0.7"/>'
-        )
-    for p, w in zip(nu.points, wy):
-        x, y = to_px(p)
-        r = 1.0 + 3.0 * float(w)
-        parts.append(
-            f'<circle cx="{x:.1f}" cy="{y:.1f}" r="{r:.2f}" fill="blue" '
-            f'fill-opacity="0.7"/>'
-        )
+    for m, key, color in ((mu, "weights_x", "red"), (nu, "weights_y", "blue")):
+        for p, w in zip(m.points, doc.get(key) or [1.0] * m.n):
+            x, y = to_px(p)
+            r = 1.0 + 3.0 * float(w)
+            parts.append(
+                f'<circle cx="{x:.1f}" cy="{y:.1f}" r="{r:.2f}" '
+                f'fill="{color}" fill-opacity="0.7"/>'
+            )
     parts.append("</svg>")
     svg = "\n".join(parts) + "\n"
     if args.out:
@@ -424,6 +319,18 @@ def _cmd_couplings_svg(args) -> int:
 # parser / dispatch
 # ---------------------------------------------------------------------------
 
+# the arguments several commands share; ``_build_parser`` adds them in order
+_SHARED_ARGS = {
+    "source": {},
+    "target": {},
+    "--metric": {"choices": ["euclidean", "sqeuclidean"],
+                 "default": "euclidean"},
+    "--out": {"default": None, "help": "write JSON here instead of stdout"},
+    "--csv": {"default": None, "metavar": "PREFIX",
+              "help": "also emit flat CSV tables with this path prefix"},
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="otrobust",
@@ -431,61 +338,39 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="cmd", required=True)
 
-    def add_io(sp):
-        sp.add_argument("--out", default=None, help="write JSON here instead of stdout")
-        sp.add_argument("--csv", default=None, metavar="PREFIX",
-                        help="also emit flat CSV tables with this path prefix")
+    def command(name, fn, help, shared=tuple(_SHARED_ARGS)):
+        sp = sub.add_parser(name, help=help)
+        for arg in shared:
+            sp.add_argument(arg, **_SHARED_ARGS[arg])
+        sp.set_defaults(fn=fn)
+        return sp
 
-    sp = sub.add_parser("ot", help="exact (or entropic) OT value")
-    sp.add_argument("source")
-    sp.add_argument("target")
-    sp.add_argument("--metric", choices=["euclidean", "sqeuclidean"],
-                    default="euclidean")
+    sp = command("ot", _cmd_ot, "exact (or entropic) OT value")
     sp.add_argument("--sinkhorn", action="store_true")
     sp.add_argument("--eps", type=float, default=1e-2)
-    add_io(sp)
-    sp.set_defaults(fn=_cmd_ot)
 
-    sp = sub.add_parser("robust", help="chi-square-relaxed robust OT")
-    sp.add_argument("source")
-    sp.add_argument("target")
+    sp = command("robust", _cmd_robust, "chi-square-relaxed robust OT")
     sp.add_argument("--rho1", type=float, required=True)
     sp.add_argument("--rho2", type=float, default=0.0)
     sp.add_argument("--max-iter", type=int, default=500)
-    sp.add_argument("--metric", choices=["euclidean", "sqeuclidean"],
-                    default="euclidean")
-    add_io(sp)
-    sp.set_defaults(fn=_cmd_robust)
 
-    sp = sub.add_parser("unbalanced", help="chi-square-penalized unbalanced OT")
-    sp.add_argument("source")
-    sp.add_argument("target")
+    sp = command("unbalanced", _cmd_unbalanced,
+                 "chi-square-penalized unbalanced OT")
     sp.add_argument("--tau", type=float, required=True)
-    sp.add_argument("--metric", choices=["euclidean", "sqeuclidean"],
-                    default="euclidean")
-    add_io(sp)
-    sp.set_defaults(fn=_cmd_unbalanced)
 
-    sp = sub.add_parser("sweep", help="robust value along a rho grid")
-    sp.add_argument("source")
-    sp.add_argument("target")
+    sp = command("sweep", _cmd_sweep, "robust value along a rho grid")
     sp.add_argument("--rho-grid", required=True,
                     metavar="start:stop:count[:log]")
     sp.add_argument("--elbow", action="store_true")
-    sp.add_argument("--metric", choices=["euclidean", "sqeuclidean"],
-                    default="euclidean")
-    add_io(sp)
-    sp.set_defaults(fn=_cmd_sweep)
 
-    sp = sub.add_parser("bound", help="contamination bound check")
+    sp = command("bound", _cmd_bound, "contamination bound check",
+                 ("--out", "--csv"))
     sp.add_argument("--k", type=float, required=True)
     sp.add_argument("--gamma", type=float, required=True)
     sp.add_argument("--rho", type=float, required=True)
     sp.add_argument("--n-atoms", type=int, default=20)
-    add_io(sp)
-    sp.set_defaults(fn=_cmd_bound)
 
-    sp = sub.add_parser("gen", help="synthetic data generation")
+    sp = command("gen", _cmd_gen, "synthetic data generation", ())
     sp.add_argument("what", choices=["ring"])
     sp.add_argument("--modes", type=int, default=4)
     sp.add_argument("--radius", type=float, default=datagen.RING_RADIUS_DEFAULT)
@@ -497,22 +382,18 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--outlier-mode", choices=["far", "uniform"],
                     default="far")
     sp.add_argument("--out", default=None, help="write the cloud as CSV here")
-    sp.set_defaults(fn=_cmd_gen)
 
-    sp = sub.add_parser("props", help="metric-property report")
+    sp = command("props", _cmd_props, "metric-property report",
+                 ("--metric", "--out", "--csv"))
     sp.add_argument("--inputs", nargs="+", required=True)
     sp.add_argument("--rho", type=float, required=True)
-    sp.add_argument("--metric", choices=["euclidean", "sqeuclidean"],
-                    default="euclidean")
-    add_io(sp)
-    sp.set_defaults(fn=_cmd_props)
 
-    sp = sub.add_parser("couplings-svg", help="render a result as SVG")
+    sp = command("couplings-svg", _cmd_couplings_svg, "render a result as SVG",
+                 ())
     sp.add_argument("result")
     sp.add_argument("--points", nargs=2, required=True,
                     metavar=("A.csv", "B.csv"))
     sp.add_argument("--out", default=None)
-    sp.set_defaults(fn=_cmd_couplings_svg)
 
     return p
 

@@ -191,12 +191,9 @@ def cost_matrix(
     """Pairwise costs between the supports of X and Y."""
     if X.dim != Y.dim:
         raise DimensionMismatch(f"dimension {X.dim} vs {Y.dim}")
-    if metric == "euclidean":
-        entries = cdist(X.points, Y.points, metric="euclidean")
-    elif metric == "sqeuclidean":
-        entries = cdist(X.points, Y.points, metric="sqeuclidean")
-    else:
+    if metric not in ("euclidean", "sqeuclidean"):
         raise DimensionMismatch(f"unknown metric {metric!r}")
+    entries = cdist(X.points, Y.points, metric=metric)
     return CostMatrix(np.maximum(entries, 0.0), metric_tag=metric)
 
 

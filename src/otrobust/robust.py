@@ -22,7 +22,7 @@ steps on the projection's generalised Jacobian.  The upper bound is the
 best LP value, whose plan is the returned coupling; the lower bound is the
 best minimum over every cut and every master's aggregate ``G^T lam``.
 ``converged`` means that the two bounds are within ``rel_tol * max(1,
-value)``, and ``gap`` is their difference.
+value)``, and ``gap`` is their difference, floored at 0 against rounding.
 """
 from __future__ import annotations
 
@@ -304,7 +304,7 @@ def solve_robust(
         coupling=bounds.coupling,
         trace=tuple(bounds.trace) + (bounds.ub,),
         converged=bounds.certified(tol),
-        gap=float(bounds.ub - bounds.lb),
+        gap=max(0.0, float(bounds.ub - bounds.lb)),
     )
 
 

@@ -119,7 +119,6 @@ def solve_unbalanced_chi2(
         P = solve_exact(mu, nu, cost).coupling_dense((m, n))
     else:
         P = np.outer(a, b)
-    f = objective(P)
     residual = np.inf
     converged = False
     for _ in range(max_iter):

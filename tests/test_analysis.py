@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from otrobust import analysis
 from otrobust.analysis import (
     ElbowResult,
     RhoCurve,
@@ -17,6 +18,7 @@ from otrobust.analysis import (
 from otrobust.errors import DomainError, TooFewPoints
 from otrobust.exact import solve_exact
 from otrobust.measures import cost_matrix, make_measure
+from otrobust.robust import solve_robust
 
 
 def test_bound_closed_forms():
@@ -112,13 +114,22 @@ def test_sweep_identical_measures_all_zero():
     np.testing.assert_allclose(curve.values, 0.0, atol=1e-10)
 
 
-def test_sweep_monotone_and_bounded():
+def test_sweep_monotone_and_bounded(monkeypatch):
     rng = np.random.default_rng(2)
     mu = make_measure(rng.random((4, 2)))
     nu = make_measure(rng.random((4, 2)))
     C = cost_matrix(mu, nu)
     exact = solve_exact(mu, nu, C).value
-    curve = sweep_rho(mu, nu, C, np.linspace(0.0, 0.4, 6))
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[3].rho1)
+        return solve_robust(*args, **kwargs)
+
+    monkeypatch.setattr(analysis, "solve_robust", counted)
+    grid = np.linspace(0.0, 0.4, 6)
+    curve = sweep_rho(mu, nu, C, grid)
+    assert calls == grid.tolist()  # one solve per grid point
     assert np.all(np.diff(curve.values) <= 1e-8)
     assert np.all(curve.values >= -1e-10)
     assert np.all(curve.values <= exact + 1e-8)

@@ -27,6 +27,71 @@ def run_json(argv, capsys):
     return code, json.loads(out)
 
 
+SHARED_KEYS = {"command", "params", "value", "weights_x", "weights_y",
+               "coupling", "trace", "converged", "seed"}
+
+
+# argv ({a}, {b}: the clouds; {res}: a result document), the document's keys
+# beyond SHARED_KEYS (None: no JSON document), its params keys, the exit
+# code, and the files the command writes in the working directory
+CONTRACT = {
+    "ot": (["ot", "{a}", "{b}", "--csv", "t"], {"convention"},
+           {"metric", "sinkhorn", "eps"}, 0, {"t.coupling.csv"}),
+    "ot-sinkhorn": (["ot", "{a}", "{b}", "--sinkhorn", "--eps", "0.05",
+                     "--csv", "t"], {"convention"},
+                    {"metric", "sinkhorn", "eps"}, 0, {"t.coupling.csv"}),
+    "robust": (["robust", "{a}", "{b}", "--rho1", "0.05", "--csv", "t"],
+               {"convention", "gap"}, {"rho1", "rho2", "metric"}, 0,
+               {"t.weights_x.csv", "t.weights_y.csv", "t.trace.csv",
+                "t.coupling.csv"}),
+    "unbalanced": (["unbalanced", "{a}", "{b}", "--tau", "10", "--csv", "t"],
+                   {"convention", "marginal_penalty_x", "marginal_penalty_y"},
+                   {"tau", "metric"}, 0, {"t.coupling.csv"}),
+    "sweep-elbow": (["sweep", "{a}", "{b}", "--rho-grid", "0.001:0.2:5:log",
+                     "--elbow", "--csv", "t"],
+                    {"rho_grid", "values", "elbow"}, {"rho_grid", "metric"},
+                    0, {"t.rho_grid.csv", "t.values.csv"}),
+    "bound": (["bound", "--k", "5", "--gamma", "0.1", "--rho", "0.0555",
+               "--n-atoms", "10", "--csv", "t"],
+              {"lhs", "rhs", "bound_factor", "holds"},
+              {"k", "gamma", "rho", "n_atoms"}, 0, set()),
+    "gen": (["gen", "ring", "--n", "8", "--seed", "3", "--outliers", "0.25",
+             "--out", "g.csv"], {"points", "labels", "out"},
+            {"modes", "radius", "sigma", "n", "rot", "outliers",
+             "outlier_mode"}, 0, {"g.csv"}),
+    "props": (["props", "--inputs", "{a}", "{b}", "{a}", "--rho", "0.05",
+               "--csv", "t"],
+              {"nonnegativity_ok", "identity_ok", "identity_max_dev",
+               "symmetry_max_rel_dev", "triangle_violations",
+               "pairwise_values"}, {"rho", "metric", "inputs"}, 0, set()),
+    "couplings-svg": (["couplings-svg", "{res}", "--points", "{a}", "{b}"],
+                      None, None, 0, set()),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CONTRACT))
+def test_document_contract(case, clouds, tmp_path, monkeypatch, capsys):
+    """Every subcommand's document keys, exit code and written files."""
+    argv, extra, params, code, written = CONTRACT[case]
+    a, b = clouds
+    res = tmp_path / "res.json"
+    res.write_text(json.dumps({"coupling": [[0, 1, 0.25]], "weights_x": None}))
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    argv = [s.format(a=a, b=b, res=res) for s in argv]
+    assert run(argv) == code
+    out = capsys.readouterr().out
+    assert {p.name for p in work.iterdir()} == written
+    if extra is None:
+        assert out.startswith("<svg")
+        return
+    doc = json.loads(out)
+    assert set(doc) == SHARED_KEYS | extra
+    assert set(doc["params"]) == params
+    assert doc["command"] == argv[0]
+
+
 def test_csv_roundtrip(tmp_path):
     mu = gaussian_ring(3, n_samples=9, seed=4)
     p = tmp_path / "m.csv"
@@ -186,8 +251,7 @@ def test_robust_reports_certified_gap(tmp_path, capsys, n, rho2):
     code, doc = run_json(["robust", *paths, "--rho1", "0.05",
                           "--rho2", str(rho2)], capsys)
     assert code == (0 if doc["converged"] else 3)
-    # both bounds are rounded: the lower can end a few ulps above the upper
-    assert doc["gap"] >= -1e-12 * max(1.0, doc["value"])
+    assert doc["gap"] >= 0.0
     if doc["converged"]:
         assert doc["gap"] <= 1e-7 * max(1.0, doc["value"])
 
