@@ -30,12 +30,12 @@ def theorem2_bound(k: float, gamma: float, rho: float) -> float:
     relative distance k, the robust value with budget rho is at most this
     factor times the clean distance.
     """
-    if k < 1:
-        raise DomainError(f"k must be >= 1, got {k}")
+    if not 1 <= k < np.inf:
+        raise DomainError(f"k must be finite and >= 1, got {k}")
     if not (0 <= gamma < 1):
         raise DomainError(f"gamma must be in [0, 1), got {gamma}")
-    if rho < 0:
-        raise DomainError(f"rho must be >= 0, got {rho}")
+    if not 0 <= rho < np.inf:
+        raise DomainError(f"rho must be finite and >= 0, got {rho}")
     return max(1.0, 1.0 + k * gamma - k * np.sqrt(2.0 * rho * gamma * (1.0 - gamma)))
 
 
@@ -72,8 +72,8 @@ def construct_theorem2_instance(
     W(outlier, clean) = k.  gamma * n_atoms must be integral so the mixture
     is realizable with uniform atoms.
     """
-    if k < 1:
-        raise DomainError(f"k must be >= 1, got {k}")
+    if not 1 <= k < np.inf:
+        raise DomainError(f"k must be finite and >= 1, got {k}")
     if not (0 <= gamma < 1):
         raise DomainError(f"gamma must be in [0, 1), got {gamma}")
     g = gamma * n_atoms
@@ -98,6 +98,7 @@ def construct_theorem2_instance(
 
 def verify_theorem2(instance: OutlierInstance, rho: float) -> dict:
     """Check the bound on one instance: robust value vs factor * clean value."""
+    factor = theorem2_bound(instance.k, instance.gamma, rho)
     mixed = instance.mixed()
     cost = cost_matrix(mixed, instance.target)
     lhs = solve_robust_one_sided(mixed, instance.target, cost, rho).value
@@ -105,7 +106,7 @@ def verify_theorem2(instance: OutlierInstance, rho: float) -> dict:
         instance.clean, instance.target,
         cost_matrix(instance.clean, instance.target),
     ).value
-    rhs = theorem2_bound(instance.k, instance.gamma, rho) * w_clean
+    rhs = factor * w_clean
     return {"lhs": lhs, "rhs": rhs, "holds": bool(lhs <= rhs + 1e-6)}
 
 
@@ -125,7 +126,7 @@ class RhoCurve:
         v = np.asarray(self.values, dtype=float).ravel()
         if g.size != v.size:
             raise DomainError("grid and values length mismatch")
-        if np.any(np.diff(g) <= 0) or np.any(g < 0):
+        if not ((g >= 0).all() and (np.diff(g) > 0).all()):  # NaN fails too
             raise DomainError("rho grid must be ascending and non-negative")
         if np.any(np.diff(v) > 1e-8):
             raise DomainError("curve values must be non-increasing")
@@ -151,7 +152,7 @@ def sweep_rho(
     true when every point's solve certified its gap.
     """
     grid = np.asarray(list(rho_grid), dtype=float).ravel()
-    if np.any(np.diff(grid) <= 0) or np.any(grid < 0):
+    if not ((grid >= 0).all() and (np.diff(grid) > 0).all()):  # NaN fails too
         raise DomainError("rho grid must be ascending and non-negative")
 
     sols = []

@@ -15,7 +15,7 @@ from dataclasses import asdict
 import numpy as np
 
 from . import analysis, datagen
-from .errors import OtError, SolverStall
+from .errors import DomainError, OtError, SolverStall
 from .exact import solve_exact
 from .measures import DiscreteMeasure, cost_matrix, make_measure
 from .robust import RobustParams, solve_robust
@@ -181,6 +181,8 @@ def _parse_grid(spec: str) -> np.ndarray:
     if len(parts) not in (3, 4):
         raise OtError(f"bad grid spec {spec!r}, want start:stop:count[:log]")
     start, stop = float(parts[0]), float(parts[1])
+    if not (np.isfinite(start) and np.isfinite(stop)):
+        raise DomainError(f"grid ends must be finite, got {spec!r}")
     count = int(parts[2])
     log = len(parts) == 4 and parts[3] == "log"
     if len(parts) == 4 and not log:

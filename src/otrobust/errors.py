@@ -37,8 +37,8 @@ class InstanceTooLarge(OtError):
     pass
 
 
-class DomainError(OtError):
-    pass
+class DomainError(OtError, ValueError):
+    """A numeric parameter outside its domain (including NaN and inf)."""
 
 
 class TooFewPoints(OtError):

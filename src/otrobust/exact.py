@@ -69,9 +69,10 @@ class TransportModel:
     """A HiGHS transportation LP over one cost matrix, kept across solves.
 
     Rows are the m + n marginal equalities; columns are the arcs priced in,
-    at first the ``PRICING_K`` cheapest of each row and each column.  A solve
-    sets the row bounds, adds the marginals' north-west-corner plan (so the
-    restricted LP is feasible), and prices all m x n arcs until
+    at first the ``PRICING_K`` cheapest of each row and each column (every
+    arc when ``min(m, n) <= PRICING_K``).  A solve sets the row bounds, adds
+    the marginals' north-west-corner plan while some arc is not yet a column
+    (so the restricted LP is feasible), and prices all m x n arcs until
     ``max_ij(u_i + v_j - c_ij) <= dual_feas_tol(C)``.  When a round finds
     violations only on arcs already in the model, the LP is re-solved on all
     arcs, and :class:`SolverStall` is raised if that is still not certified.
@@ -85,6 +86,7 @@ class TransportModel:
     def __init__(self, C: np.ndarray):
         m, n = C.shape
         self.C = C
+        self.tol = dual_feas_tol(C)
         self.highs = _Highs()
         for key, val in _HIGHS_OPTIONS.items():
             self.highs.setOptionValue(key, val)
@@ -110,7 +112,7 @@ class TransportModel:
         self.highs.addCols(
             k, self.C.flat[flat], np.zeros(k), np.full(k, np.inf), 2 * k,
             np.arange(0, 2 * k, 2, dtype=np.int32),
-            np.column_stack([i, self.C.shape[0] + j]).ravel().astype(np.int32),
+            np.array([i, self.C.shape[0] + j], np.int32).T.ravel(),
             np.ones(2 * k),
         )
         self.arcs.flat[flat] = True
@@ -157,7 +159,7 @@ class TransportModel:
             raise SolverStall("transport LP failed: "
                               + self.highs.modelStatusToString(status))
         sol = self.highs.getSolution()
-        return np.array(sol.col_value), np.array(sol.row_dual)
+        return np.asarray(sol.col_value), np.asarray(sol.row_dual)
 
     def solve(self, a: np.ndarray, b: np.ndarray):
         """(plan, u, v) for marginals a and b.  ``b`` is rescaled to the
@@ -165,20 +167,21 @@ class TransportModel:
         ``MASS_TOL`` still give a consistent equality system.  A row's bound
         is set only when its mass moved by more than ``_RHS_RTOL`` since
         the last solve, so rescaling alone sets no bound."""
-        C, arcs = self.C, self.arcs
+        C, arcs, tol = self.C, self.arcs, self.tol
         m, n = C.shape
-        tol = dual_feas_tol(C)
         b = b * (a.sum() / b.sum())
-        # north-west corner: walk the merged cumulative masses from (0, 0)
-        cuts = np.concatenate([np.cumsum(a)[:-1], np.cumsum(b)[:-1]])
-        down = (np.arange(cuts.size) < m - 1)[np.argsort(cuts, kind="stable")]
-        nw = np.zeros_like(arcs)
-        nw[np.r_[0, np.cumsum(down)], np.r_[0, np.cumsum(~down)]] = True
-        self._add(nw)
-        rhs = _MASS_SCALE * np.r_[a, b]
+        if self.order.size < arcs.size:
+            # north-west corner: walk the merged cumulative masses from (0, 0)
+            cuts = np.concatenate((np.cumsum(a)[:-1], np.cumsum(b)[:-1]))
+            down = (np.arange(cuts.size) < m - 1)[cuts.argsort(kind="stable")]
+            nw = np.zeros_like(arcs)
+            nw[np.concatenate(([0], np.cumsum(down))),
+               np.concatenate(([0], np.cumsum(~down)))] = True
+            self._add(nw)
+        rhs = _MASS_SCALE * np.concatenate((a, b))
         moved = np.abs(rhs - self.rhs) > _RHS_RTOL * rhs
-        for r in np.flatnonzero(moved).tolist():
-            self.highs.changeRowBounds(r, rhs[r], rhs[r])
+        for r, val in zip(np.flatnonzero(moved).tolist(), rhs[moved].tolist()):
+            self.highs.changeRowBounds(r, val, val)
         self.rhs[moved] = rhs[moved]
         if (self.fresh and m == n > PRICING_K and is_uniform_mass(a)
                 and is_uniform_mass(b)):
@@ -282,10 +285,10 @@ def _full_potentials(C, a, ia, jb, u, v):
     psi[jb] = -v
     if jb.size < n:
         # zero-mass columns: tightest feasible psi_j >= max_i phi_i - c_ij
-        rest = np.setdiff1d(np.arange(n), jb)
+        rest = np.delete(np.arange(n), jb)
         psi[rest] = np.max(phi[ia, None] - C[np.ix_(ia, rest)], axis=0)
     if ia.size < m:
-        rest = np.setdiff1d(np.arange(m), ia)
+        rest = np.delete(np.arange(m), ia)
         phi[rest] = np.min(C[rest] + psi[None, :], axis=1)
     # shift so that the mass-weighted mean of phi over supp(a) is 0
     shift = float(phi @ a) / max(float(a.sum()), 1e-300)

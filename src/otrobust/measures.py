@@ -1,11 +1,12 @@
 """Core domain types: weighted point clouds, cost matrices, solutions, weights.
 
 All types are immutable after construction (arrays are copied and marked
-read-only) and validate their invariants eagerly, so downstream solvers can
-assume well-formed inputs.
+read-only) and validate their invariants eagerly, each check failing on NaN,
+so downstream solvers can assume well-formed inputs.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -36,7 +37,7 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 
 def is_uniform_mass(mass: np.ndarray, tol: float = 1e-12) -> bool:
     """Every entry equals 1/len(mass) to within tol."""
-    return bool(np.all(np.abs(mass - 1.0 / mass.size) <= tol))
+    return bool((np.abs(mass - 1.0 / mass.size) <= tol).all())
 
 
 @dataclass(frozen=True)
@@ -55,10 +56,10 @@ class DiscreteMeasure:
             raise LengthMismatch(
                 f"{pts.shape[0]} points but {mass.shape[0]} mass entries"
             )
-        if np.any(mass < 0):
-            raise NegativeMass(f"negative mass entries: min={mass.min()}")
+        if not mass.min() >= 0:
+            raise NegativeMass(f"mass entries must be >= 0: min={mass.min()}")
         total = mass.sum()
-        if abs(total - 1.0) > MASS_TOL:
+        if not abs(total - 1.0) <= MASS_TOL:
             raise MassNotNormalized(f"mass sums to {total!r}, expected 1")
         object.__setattr__(self, "points", _readonly(pts))
         object.__setattr__(self, "mass", _readonly(mass))
@@ -121,7 +122,7 @@ class OtSolution:
 
 def weight_radius(rho: float, n: int) -> float:
     """Radius of the chi-square ball in the scaled (sum = n) weight frame."""
-    return float(np.sqrt(2.0 * rho * n))
+    return math.sqrt(2.0 * rho * n)
 
 
 @dataclass(frozen=True)
@@ -140,16 +141,17 @@ class WeightVector:
         w = np.asarray(self.w, dtype=float).ravel()
         if w.size == 0:
             raise EmptyInput("empty weight vector")
-        if self.rho < 0:
+        if not self.rho >= 0:
             raise NegativeMass(f"rho must be >= 0, got {self.rho}")
-        if np.any(w < 0):
-            raise NegativeMass(f"negative weight: min={w.min()}")
+        if not w.min() >= 0:
+            raise NegativeMass(f"weights must be >= 0: min={w.min()}")
         n = w.size
-        if abs(w.sum() - n) > WEIGHT_SUM_TOL:
+        if not abs(w.sum() - n) <= WEIGHT_SUM_TOL:
             raise NormalizationViolated(f"weights sum to {w.sum()!r}, expected {n}")
         radius = weight_radius(self.rho, n)
-        nrm = float(np.linalg.norm(w - 1.0))
-        if nrm > radius + WEIGHT_BALL_TOL:
+        e = w - 1.0
+        nrm = math.sqrt(e.dot(e))  # np.linalg.norm of a float vector
+        if not nrm <= radius + WEIGHT_BALL_TOL:
             raise NormalizationViolated(
                 f"||w - 1|| = {nrm} exceeds ball radius {radius}"
             )

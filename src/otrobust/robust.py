@@ -26,13 +26,14 @@ value)``, and ``gap`` is their difference, floored at 0 against rounding.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
 from . import _zoom
-from .errors import InstanceTooLarge, NonUniformInput
+from .errors import DomainError, InstanceTooLarge, NonUniformInput
 from .exact import (
     DenseDualEvaluator,
     TransportModel,
@@ -69,8 +70,11 @@ class RobustParams:
     rel_tol: float = 1e-7
 
     def __post_init__(self):
-        if self.rho1 < 0 or self.rho2 < 0:
-            raise ValueError("rho1, rho2 must be >= 0")
+        if not (0 <= self.rho1 < np.inf and 0 <= self.rho2 < np.inf
+                and 0 <= self.rel_tol < np.inf):
+            raise DomainError(
+                "rho1, rho2 and rel_tol must be finite and >= 0, got "
+                f"{self.rho1}, {self.rho2}, {self.rel_tol}")
         if self.max_outer_iter < 1:
             raise ValueError("max_outer_iter must be >= 1")
 
@@ -97,6 +101,7 @@ class _Bounds:
     def __init__(self, C: np.ndarray, m: int, n: int, sides: list):
         self.C, self.m, self.n, self.sides = C, m, n, sides
         self.model = TransportModel(C)
+        self.rows, self.cols = np.arange(m), np.arange(n)
         self.cuts, self.points, self.trace = [], [], []
         # every plan has mass 1, so no value is below the least cost
         self.ub, self.lb = np.inf, float(C.min())
@@ -116,7 +121,7 @@ class _Bounds:
         C, m, n = self.C, self.m, self.n
         a, b = z[:m] / m, z[m:] / n
         plan, u, v = _lp_transport(a, b, C, self.model)
-        coupling, value = _coupling(C, np.arange(m), np.arange(n), plan)
+        coupling, value = _coupling(C, self.rows, self.cols, plan)
         ia, jb = np.flatnonzero(a > 0), np.flatnonzero(b > 0)
         phi, psi = _full_potentials(C, a, ia, jb, u[ia], v[jb])
         g = np.concatenate([phi / m, -psi / n])
@@ -145,19 +150,19 @@ def _newton_step(G: np.ndarray, t: float, jac: list, v: np.ndarray):
     H = np.zeros((k, k))
     for support, s, u in jac:
         Gs = G[:, support]
-        Gc = Gs - Gs.mean(axis=1, keepdims=True)
+        Gc = Gs - Gs.sum(axis=1, keepdims=True) / support.size
         Hs = Gc @ Gc.T
         if u is not None:
             q = Gs @ u
-            Hs -= np.outer(q, q)
+            Hs -= q[:, None] * q  # np.outer(q, q)
         H += s * Hs
     H *= t
-    ridge = 1e-9 * np.trace(H) / k + 1e-12 * t * float((G * G).sum()) / k
-    H[np.diag_indices(k)] += max(ridge, 1e-300)
+    ridge = 1e-9 * H.trace() / k + 1e-12 * t * float((G * G).sum()) / k
+    H.flat[::k + 1] += max(ridge, 1e-300)
     K = np.ones((k + 1, k + 1))
     K[:k, :k] = H
     K[k, k] = 0.0
-    return np.linalg.solve(K, np.r_[v, 0.0])[:k]
+    return np.linalg.solve(K, np.concatenate((v, [0.0])))[:k]
 
 
 def _master(G, centre, t, lam, sides, tol):
@@ -259,14 +264,14 @@ def solve_robust(
     f_centre, z_oracle = bounds.evaluate(z)
     # the first proximal step is as long as the step to the cut's minimiser
     g = np.concatenate([bounds.cuts[0][sl] for sl, _, _ in sides] or [[]])
-    t = t0 = float(np.linalg.norm(z_oracle - z)
-                   / max(np.linalg.norm(g), 1e-300))
+    step = z_oracle - z
+    t = t0 = math.sqrt(step.dot(step)) / max(math.sqrt(g.dot(g)), 1e-300)
     lam = np.ones(1)
     stalls = 0
     while (sides and not bounds.certified(tol) and len(bounds.points) < cap
            and stalls < _MAX_STALLS):
         G = np.array(bounds.cuts)
-        lam = np.r_[lam, np.zeros(len(G) - lam.size)]
+        lam = np.concatenate((lam, np.zeros(len(G) - lam.size)))
         # solve each master well inside the outer tolerance, and tighter
         # after a master whose points were all solved already
         tol_master = 1e-2 * tol * max(1.0, abs(f_centre)) * 0.1**stalls

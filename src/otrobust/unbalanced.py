@@ -85,8 +85,8 @@ def solve_unbalanced_chi2(
     drops below tol; if max_iter is hit first the result carries
     ``converged=False`` rather than raising.
     """
-    if tau <= 0:
-        raise DomainError(f"tau must be > 0, got {tau}")
+    if not 0 < tau < np.inf:
+        raise DomainError(f"tau must be finite and > 0, got {tau}")
     C = cost.entries
     m, n = mu.n, nu.n
     if C.shape != (m, n):

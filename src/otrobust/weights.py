@@ -27,12 +27,13 @@ limit.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import _zoom
-from .errors import InstanceTooLarge, NegativeMass
+from .errors import DomainError, InstanceTooLarge
 from .measures import WeightVector, weight_radius
 
 # rounding allowance on a candidate's ball budget and last weight; without
@@ -50,8 +51,8 @@ class WeightSubproblem:
 
     def __post_init__(self):
         d = np.asarray(self.d, dtype=float).ravel()
-        if self.rho < 0:
-            raise NegativeMass(f"rho must be >= 0, got {self.rho}")
+        if not 0 <= self.rho < np.inf:
+            raise DomainError(f"rho must be finite and >= 0, got {self.rho}")
         if self.sense not in ("minimize", "maximize"):
             raise ValueError(f"bad sense {self.sense!r}")
         object.__setattr__(self, "d", d)
@@ -69,12 +70,12 @@ def _prefix_scan(d: np.ndarray, R: float, project: bool):
     """
     n = d.size
     s_max = 1.0 if project else np.inf
-    order = np.argsort(d, kind="stable")
+    order = d.argsort(kind="stable")
     x = d[order] - d[order[0]]
-    k = np.arange(1, n + 1)
-    s1 = np.cumsum(x)
+    k = np.arange(1.0, n + 1.0)
+    s1 = np.add.accumulate(x)
     mean = s1 / k
-    var = np.maximum(np.cumsum(x * x) - s1 * mean, 0.0)
+    var = np.maximum(np.add.accumulate(x * x) - s1 * mean, 0.0)
     slack = R * R - n * (n - k) / k
     s = np.minimum(
         s_max, np.sqrt(np.maximum(slack, 0.0) / np.where(var > 0, var, 1.0))
@@ -86,17 +87,17 @@ def _prefix_scan(d: np.ndarray, R: float, project: bool):
     lin = n * mean - s * var  # d . w - n d.min()
     # nearest -d: ||w + d||^2 less its constant part
     crit = 2.0 * lin + n * n / k + s * s * var if project else lin
-    cand = np.flatnonzero(ok)
-    kk = int(cand[np.argmin(crit[cand])]) + 1
+    kk = int(np.where(ok, crit, np.inf).argmin()) + 1
 
-    dev = x[:kk] - x[:kk].mean()
+    xk, support = x[:kk], order[:kk]
+    dev = xk - xk.sum() / kk
     var_k = float(dev @ dev)
     s_k = 0.0
     if var_k > 0:
-        s_k = min(s_max, np.sqrt(max(slack[kk - 1], 0.0) / var_k))
+        s_k = min(s_max, math.sqrt(max(slack[kk - 1], 0.0) / var_k))
     w = np.zeros(n)
-    w[order[:kk]] = np.maximum(n / kk - s_k * dev, 0.0)
-    return w, order[:kk], s_k, dev
+    w[support] = np.maximum(n / kk - s_k * dev, 0.0)
+    return w, support, s_k, dev
 
 
 def solve_weight_socp(p: WeightSubproblem) -> WeightVector:
@@ -159,7 +160,7 @@ def _projection(z: np.ndarray, R: float):
     ``(w, support, s, u)`` with ``u`` None when the ball does not bind.
     """
     w, support, s, dev = _prefix_scan(-z, R, project=True)
-    nrm = float(np.linalg.norm(dev))
+    nrm = math.sqrt(dev.dot(dev))  # np.linalg.norm of a float vector
     if nrm == 0.0 or s >= 1.0:
         return w, support, 1.0, None
     return w, support, s, dev / nrm

@@ -51,6 +51,11 @@ def test_bound_domain_errors():
         theorem2_bound(0.5, 0.1, 0.1)
     with pytest.raises(DomainError):
         rho_for_known_gamma(1.0)
+    for k, rho in ((np.nan, 0.1), (np.inf, 0.1), (2.0, np.nan), (2.0, np.inf)):
+        with pytest.raises(DomainError):
+            theorem2_bound(k, 0.1, rho)
+    with pytest.raises(DomainError):
+        construct_theorem2_instance(np.nan, 0.1, 10)
 
 
 def test_rho_for_known_gamma_values():
@@ -96,6 +101,13 @@ def test_verify_theorem2_factor_one_point():
 def test_rho_curve_rejects_increase():
     with pytest.raises(DomainError):
         RhoCurve(np.array([0.0, 0.1]), np.array([1.0, 1.5]))
+
+
+@pytest.mark.parametrize("grid", [[0.0, np.nan], [np.nan], [0.1, 0.0]])
+def test_sweep_rejects_bad_grid(grid):
+    mu = make_measure([[0.0], [1.0]])
+    with pytest.raises(DomainError):
+        sweep_rho(mu, mu, cost_matrix(mu, mu), grid)
 
 
 def test_sweep_grid_of_zero_is_exact():

@@ -272,6 +272,27 @@ def test_sinkhorn_rejects_non_finite_eps(clouds, capsys, eps):
     assert "epsilon" in captured.err
 
 
+@pytest.mark.parametrize("argv", [
+    ["robust", "{a}", "{b}", "--rho1", "nan"],
+    ["robust", "{a}", "{b}", "--rho1", "inf"],
+    ["robust", "{a}", "{b}", "--rho1", "0.05", "--rho2", "nan"],
+    ["unbalanced", "{a}", "{b}", "--tau", "nan"],
+    ["unbalanced", "{a}", "{b}", "--tau", "inf"],
+    ["bound", "--k", "5", "--gamma", "0.1", "--rho", "nan"],
+    ["bound", "--k", "nan", "--gamma", "0.1", "--rho", "0.05"],
+    ["sweep", "{a}", "{b}", "--rho-grid", "0:nan:3"],
+    ["sweep", "{a}", "{b}", "--rho-grid", "0:inf:3"],
+], ids=" ".join)
+def test_rejects_non_finite_parameters(argv, clouds, capsys):
+    """A NaN or infinite numeric parameter is an input error (exit 2) with
+    no document, never a solve or a NaN in the output."""
+    a, b = clouds
+    assert run([arg.format(a=a, b=b) for arg in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "must be finite" in captured.err
+
+
 def test_unbalanced_command(clouds, capsys):
     a, b = clouds
     code, doc = run_json(["unbalanced", a, b, "--tau", "10"], capsys)

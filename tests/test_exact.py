@@ -584,3 +584,92 @@ def test_seed_fallbacks_still_certify(monkeypatch, fault):
     assert float((plan * C).sum()) == pytest.approx(
         dense_lp_value(a, a, C), rel=1e-9, abs=1e-12)
     assert_certified(a, a, C, plan, u, v)
+
+
+class _ReferenceModel(TransportModel):
+    """The model with its north-west corner added on every solve, ``np.r_``
+    and a per-solve ``dual_feas_tol``: the reference the solver's model
+    must match bit for bit."""
+
+    def _add(self, new):
+        flat = np.flatnonzero(new & ~self.arcs)
+        i, j = np.divmod(flat, self.C.shape[1])
+        k = flat.size
+        self.highs.addCols(
+            k, self.C.flat[flat], np.zeros(k), np.full(k, np.inf), 2 * k,
+            np.arange(0, 2 * k, 2, dtype=np.int32),
+            np.column_stack([i, self.C.shape[0] + j]).ravel().astype(np.int32),
+            np.ones(2 * k),
+        )
+        self.arcs.flat[flat] = True
+        self.order = np.concatenate([self.order, flat])
+
+    def _run(self):
+        self.highs.run()
+        assert self.highs.getModelStatus() == exact.HighsModelStatus.kOptimal
+        sol = self.highs.getSolution()
+        return np.array(sol.col_value), np.array(sol.row_dual)
+
+    def solve(self, a, b):
+        C, arcs = self.C, self.arcs
+        m, n = C.shape
+        tol = dual_feas_tol(C)
+        b = b * (a.sum() / b.sum())
+        cuts = np.concatenate([np.cumsum(a)[:-1], np.cumsum(b)[:-1]])
+        down = (np.arange(cuts.size) < m - 1)[np.argsort(cuts, kind="stable")]
+        nw = np.zeros_like(arcs)
+        nw[np.r_[0, np.cumsum(down)], np.r_[0, np.cumsum(~down)]] = True
+        self._add(nw)
+        rhs = exact._MASS_SCALE * np.r_[a, b]
+        moved = np.abs(rhs - self.rhs) > exact._RHS_RTOL * rhs
+        for r in np.flatnonzero(moved).tolist():
+            self.highs.changeRowBounds(r, rhs[r], rhs[r])
+        self.rhs[moved] = rhs[moved]
+        if (self.fresh and m == n > exact.PRICING_K
+                and exact.is_uniform_mass(a) and exact.is_uniform_mass(b)):
+            self._seed()
+        self.fresh = False
+        while True:
+            x, y = self._run()
+            u, v = y[:m], y[m:]
+            R = C - u[:, None] - v[None, :]
+            if R.min() >= -tol:
+                break
+            new = np.zeros_like(arcs)
+            bad = np.flatnonzero(R.min(axis=1) < -tol)
+            new[bad, R[bad].argmin(axis=1)] = True
+            bad = np.flatnonzero(R.min(axis=0) < -tol)
+            new[R[:, bad].argmin(axis=0), bad] = True
+            if not (new & ~arcs).any():
+                assert not arcs.all()
+                new = ~arcs
+            self._add(new)
+        plan = np.zeros((m, n))
+        plan.flat[self.order] = x / exact._MASS_SCALE
+        return plan, u, v
+
+
+@pytest.mark.parametrize("kind", ["random", "ties"])
+@pytest.mark.parametrize("shape", [(2, 2), (2, 5), (3, 4), (4, 4), (5, 3),
+                                   (6, 4), (6, 6)])
+def test_model_matches_reference_bitwise(kind, shape):
+    """A sequence of 20 marginals on one model gives the reference model's
+    (plan, u, v) bit for bit: uniform first (a square 6 x 6 model starts
+    from its seed basis), then random ones with zero atoms, one side at a
+    time as the robust loop moves them."""
+    m, n = shape
+    rng = np.random.default_rng([m, n, kind == "ties"])
+    C = (rng.random((m, n)) if kind == "random"
+         else rng.integers(0, 3, (m, n)).astype(float))
+    model, reference = TransportModel(C), _ReferenceModel(C)
+    a, b = np.full(m, 1.0 / m), np.full(n, 1.0 / n)
+    for step in range(20):
+        for got, want in zip(model.solve(a, b), reference.solve(a, b)):
+            assert got.tobytes() == want.tobytes()
+        side = rng.random(m if step % 2 else n)
+        side[rng.random(side.size) < 0.3] = 0.0
+        side[rng.integers(side.size)] += 0.1  # some atom carries mass
+        if step % 2:
+            a = side / side.sum()
+        else:
+            b = side / side.sum()

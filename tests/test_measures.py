@@ -87,6 +87,22 @@ def test_weight_vector_validation():
         WeightVector(np.array([2.0, 2.0]), 1.0)  # sum wrong
     with pytest.raises(NegativeMass):
         WeightVector(np.array([3.2, -0.2, 0.0, 1.0]), 5.0)
+    with pytest.raises(NegativeMass):
+        WeightVector(np.ones(3), float("nan"))
+
+
+@pytest.mark.parametrize("w", [[np.nan, np.nan], [np.nan, 2.0],
+                               [1.0, 1.0, np.nan]])
+def test_weight_vector_rejects_nan(w):
+    with pytest.raises((NegativeMass, NormalizationViolated)):
+        WeightVector(np.array(w), 0.1)
+
+
+@pytest.mark.parametrize("mass", [[np.nan, np.nan], [np.nan, 1.0],
+                                  [0.5, 0.5, np.nan]])
+def test_measure_rejects_nan_mass(mass):
+    with pytest.raises((NegativeMass, MassNotNormalized)):
+        DiscreteMeasure(np.zeros((len(mass), 1)), np.array(mass))
 
 
 def test_reweight_roundtrip_exact():

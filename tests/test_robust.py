@@ -11,7 +11,7 @@ from otrobust.datagen import (
     gaussian_ring,
     inject_outliers,
 )
-from otrobust.errors import InstanceTooLarge, NonUniformInput
+from otrobust.errors import DomainError, InstanceTooLarge, NonUniformInput
 from otrobust.exact import solve_exact
 from otrobust.measures import CostMatrix, cost_matrix, make_measure, weight_radius
 from otrobust.robust import (
@@ -29,6 +29,10 @@ def test_params_validation():
         RobustParams(rho1=0.1, update_rule="averaged")
     with pytest.raises(ValueError):
         RobustParams(rho1=0.1, max_outer_iter=0)
+    for bad in ({"rho1": np.nan}, {"rho1": np.inf}, {"rho2": np.nan},
+                {"rel_tol": np.nan}):
+        with pytest.raises(DomainError):
+            RobustParams(**{"rho1": 0.1, **bad})
 
 
 def test_nonuniform_input_rejected():

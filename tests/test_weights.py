@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,8 +7,10 @@ from hypothesis import strategies as st
 
 from otrobust.errors import InstanceTooLarge
 from otrobust.measures import weight_radius
+from otrobust.errors import DomainError
 from otrobust.weights import (
     WeightSubproblem,
+    _prefix_scan,
     brute_force_weights,
     project_simplex_ball,
     solve_weight_socp,
@@ -141,7 +145,7 @@ def draw_d(rng, n, kind):
     if kind == "tied":
         return rng.integers(0, 4, n).astype(float)
     d = rng.normal(0.0, 3.0, n)
-    return d * 1e-6 if kind == "small" else d
+    return d * {"small": 1e-6, "large": 1e6}.get(kind, 1.0)
 
 
 def assert_in_set(w, rho):
@@ -185,3 +189,68 @@ def test_oracle_and_projection_optimality(n, kind, rho, seed):
     for _ in range(3):
         x = socp(draw_d(rng, n, kind), rho).w
         assert (z - p) @ (x - p) <= 1e-9 * scale
+
+
+@pytest.mark.parametrize("rho", [-0.1, float("nan"), float("inf")])
+def test_subproblem_rejects_bad_rho(rho):
+    with pytest.raises(DomainError):
+        WeightSubproblem(np.ones(3), rho)
+
+
+def _reference_prefix_scan(d, R, project):
+    """The scan with one temporary per step, ``flatnonzero`` and
+    ``.mean()``: the reference the solver's scan must match bit for bit."""
+    n = d.size
+    s_max = 1.0 if project else np.inf
+    order = np.argsort(d, kind="stable")
+    x = d[order] - d[order[0]]
+    k = np.arange(1, n + 1)
+    s1 = np.cumsum(x)
+    mean = s1 / k
+    var = np.maximum(np.cumsum(x * x) - s1 * mean, 0.0)
+    slack = R * R - n * (n - k) / k
+    s = np.minimum(
+        s_max, np.sqrt(np.maximum(slack, 0.0) / np.where(var > 0, var, 1.0))
+    )
+    ok = (slack >= -1e-12 * R * R) & (
+        n / k - s * (x - mean) >= -1e-12 * n / k
+    )
+    ok[:-1] &= x[1:] > x[:-1]
+    lin = n * mean - s * var
+    crit = 2.0 * lin + n * n / k + s * s * var if project else lin
+    cand = np.flatnonzero(ok)
+    kk = int(cand[np.argmin(crit[cand])]) + 1
+    dev = x[:kk] - x[:kk].mean()
+    var_k = float(dev @ dev)
+    s_k = 0.0
+    if var_k > 0:
+        s_k = min(s_max, np.sqrt(max(slack[kk - 1], 0.0) / var_k))
+    w = np.zeros(n)
+    w[order[:kk]] = np.maximum(n / kk - s_k * dev, 0.0)
+    return w, order[:kk], s_k, dev
+
+
+@given(
+    n=st.integers(min_value=1, max_value=60),
+    kind=st.sampled_from(["random", "tied", "small", "large"]),
+    rho=st.floats(min_value=0.0, max_value=10.0),
+    kink=st.booleans(),
+    project=st.booleans(),
+    seed=st.integers(min_value=0, max_value=10**6),
+)
+@settings(max_examples=300, deadline=None)
+def test_scan_matches_reference_bitwise(n, kind, rho, kink, project, seed):
+    """``(w, support, s, dev)`` of the scan equal the reference's bit for
+    bit, also at radii where a k-atom support's budget is exactly zero."""
+    rng = np.random.default_rng(seed)
+    d = draw_d(rng, n, kind)
+    R = weight_radius(rho, n)
+    if kink:
+        k = int(rng.integers(1, n + 1))
+        R = math.sqrt(n * (n - k) / k)
+    got = _prefix_scan(d.copy(), R, project)
+    want = _reference_prefix_scan(d.copy(), R, project)
+    for g, w in zip(got, want):
+        g, w = np.asarray(g), np.asarray(w)
+        assert g.dtype == w.dtype and g.shape == w.shape
+        assert g.tobytes() == w.tobytes()
