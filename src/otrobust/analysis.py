@@ -16,7 +16,7 @@ import numpy as np
 from .errors import DomainError, TooFewPoints
 from .exact import solve_exact
 from .measures import CostMatrix, DiscreteMeasure, cost_matrix, make_measure
-from .robust import RobustParams, solve_robust, solve_robust_one_sided
+from .robust import RobustParams, _Bounds, solve_robust, solve_robust_one_sided
 
 
 # ---------------------------------------------------------------------------
@@ -142,35 +142,30 @@ def sweep_rho(
     max_outer_iter: int = 60,
     rel_tol: float = 1e-5,
 ) -> RhoCurve:
-    """One-sided robust value along an ascending rho grid.
+    """One-sided robust value along an ascending rho grid, by one bundle.
 
-    Grid points are solved in order, each warm-started from the previous
-    point's weights.  Warm starts are feasible because the ball only grows
-    with rho, and a solve's first LP is at its warm start, so a point can
-    exceed its predecessor only by rounding; such a point is clamped to its
-    predecessor, which keeps the curve non-increasing.  ``converged`` is
-    true when every point's solve certified its gap.
+    Grid points are solved in order by one proximal bundle, which keeps its
+    cuts, its best point and its step size from point to point.  A cut is a
+    dual-feasible pair, so it bounds the objective at every radius; the ball
+    only grows with rho, so the best point so far stays feasible and the
+    curve cannot rise; the lower bound is recomputed from the kept cuts at
+    each point.  ``max_outer_iter`` caps each point's new LPs.
+    ``converged`` is true when every point certified its gap.
     """
     grid = np.asarray(list(rho_grid), dtype=float).ravel()
-    if not ((grid >= 0).all() and (np.diff(grid) > 0).all()):  # NaN fails too
-        raise DomainError("rho grid must be ascending and non-negative")
+    if not (grid.size and (grid >= 0).all() and (np.diff(grid) > 0).all()):
+        raise DomainError(  # NaN fails too
+            "rho grid must be non-empty, ascending and non-negative")
 
-    sols = []
-    init = None
+    bounds, values, converged = _Bounds(mu, nu, cost), [], True
     for r in grid:
-        params = RobustParams(
-            rho1=float(r), rho2=0.0,
-            max_outer_iter=max_outer_iter, rel_tol=rel_tol,
-        )
-        sols.append(solve_robust(mu, nu, cost, params, initial_weights=init))
-        init = (sols[-1].w_x.w, np.ones(nu.n))
-
-    values = [s.value for s in sols]
-    for i in range(1, grid.size):
-        if values[i] > values[i - 1] + 1e-10:
-            values[i] = min(values[i], values[i - 1])
+        params = RobustParams(rho1=float(r), rho2=0.0,
+                              max_outer_iter=max_outer_iter, rel_tol=rel_tol)
+        bounds.run(params)
+        values.append(bounds.ub)
+        converged = converged and bounds.certified(rel_tol)
     return RhoCurve(rho_grid=grid, values=np.array(values),
-                    converged=all(s.converged for s in sols))
+                    converged=converged)
 
 
 @dataclass(frozen=True)

@@ -354,7 +354,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = command("robust", _cmd_robust, "chi-square-relaxed robust OT")
     sp.add_argument("--rho1", type=float, required=True)
     sp.add_argument("--rho2", type=float, default=0.0)
-    sp.add_argument("--max-iter", type=int, default=500)
+    sp.add_argument("--max-iter", type=int,
+                    default=RobustParams.max_outer_iter)
 
     sp = command("unbalanced", _cmd_unbalanced,
                  "chi-square-penalized unbalanced OT")

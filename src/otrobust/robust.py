@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -43,12 +42,7 @@ from .exact import (
     solve_exact,
 )
 from .measures import CostMatrix, DiscreteMeasure, WeightVector, weight_radius
-from .weights import (
-    WeightSubproblem,
-    _projection,
-    project_simplex_ball,
-    solve_weight_socp,
-)
+from .weights import WeightSubproblem, _projection, solve_weight_socp
 
 # a point becomes the centre (a serious step) when it lowers the centre's
 # value by at least this share of the decrease the master predicted
@@ -91,21 +85,34 @@ class RobustSolution:
 
 
 class _Bounds:
-    """Both bounds of one robust solve, its cuts and the points it solved.
+    """One robust solve's or one rho sweep's bundle: both bounds, the cuts,
+    the points solved and the proximal state ``t``, ``t0`` and ``lam``.
 
     Every LP solves on one :class:`TransportModel` over the full C,
-    hot-started from the last LP's basis; the model lives only as long as
-    one solve.  The best LP's weights and plan (triplets) are kept.
+    hot-started from the last LP's basis; the best LP's weights and plan
+    (triplets) are kept.  A cut is a dual-feasible pair, valid at every
+    radius, and the balls only grow with rho, so the best point stays
+    feasible when a later :meth:`run` has larger radii; the lower bound
+    holds only at its own radii, so each run recomputes it from the cuts.
     """
 
-    def __init__(self, C: np.ndarray, m: int, n: int, sides: list):
-        self.C, self.m, self.n, self.sides = C, m, n, sides
+    def __init__(self, mu: DiscreteMeasure, nu: DiscreteMeasure,
+                 cost: CostMatrix):
+        if not mu.is_uniform():
+            raise NonUniformInput("first measure must have uniform atom mass")
+        if not nu.is_uniform():
+            raise NonUniformInput("second measure must have uniform atom mass")
+        C = cost.entries
+        m, n = mu.n, nu.n
+        if C.shape != (m, n):
+            raise NonUniformInput(f"cost is {C.shape}, measures {m} x {n}")
+        self.C, self.m, self.n = C, m, n
         self.model = TransportModel(C)
         self.rows, self.cols = np.arange(m), np.arange(n)
         self.cuts, self.points, self.trace = [], [], []
-        # every plan has mass 1, so no value is below the least cost
-        self.ub, self.lb = np.inf, float(C.min())
-        self.z = self.coupling = None
+        self.ub = np.inf
+        self.z = self.coupling = self.t = self.t0 = None
+        self.lam = np.ones(1)
 
     def bound(self, g: np.ndarray) -> np.ndarray:
         """Raise the lower bound to ``min_z g.z``; returns the minimiser."""
@@ -137,6 +144,66 @@ class _Bounds:
 
     def certified(self, rel_tol: float) -> bool:
         return self.ub - self.lb <= rel_tol * max(1.0, self.ub)
+
+    def run(self, params: RobustParams) -> None:
+        """Run the bundle at ``params``' radii from the best point so far
+        until the bounds certify ``rel_tol``, ``max_outer_iter`` more LPs
+        are solved or the masters stall."""
+        m, n = self.m, self.n
+        self.sides = []  # (slice of z, radius, rho) of each relaxed side
+        for sl, rho in ((slice(0, m), params.rho1),
+                        (slice(m, m + n), params.rho2)):
+            R = weight_radius(rho, sl.stop - sl.start)
+            if R > 0:
+                self.sides.append((sl, R, rho))
+        sides, tol = self.sides, params.rel_tol
+        cap = len(self.points) + params.max_outer_iter
+        # every plan has mass 1, so no value is below the least cost
+        self.lb = float(self.C.min())
+        minimisers = [self.bound(g) for g in self.cuts]
+        if not self.points:
+            minimisers.append(self.evaluate(np.ones(m + n))[1])
+        centre, f_centre = self.z, self.ub
+        if self.t0 is None and sides:
+            # the first step is as long as the one to the first cut's minimiser
+            g = np.concatenate([self.cuts[0][sl] for sl, _, _ in sides])
+            step = minimisers[0] - centre
+            self.t = self.t0 = (math.sqrt(step.dot(step))
+                                / max(math.sqrt(g.dot(g)), 1e-300))
+        stalls = 0
+        while (sides and not self.certified(tol) and len(self.points) < cap
+               and stalls < _MAX_STALLS):
+            G = np.array(self.cuts)
+            lam = np.concatenate((self.lam, np.zeros(len(G) - self.lam.size)))
+            # solve each master well inside the outer tolerance, and tighter
+            # after a master whose points were all solved already
+            tol_master = 1e-2 * tol * max(1.0, abs(f_centre)) * 0.1**stalls
+            lam, z_prox, v = _master(G, centre, self.t, lam, sides, tol_master)
+            self.lam = lam
+            model = float(v.max())  # the cut model at the proximal point
+            z_agg = self.bound(lam @ G)
+            if self.certified(tol):
+                break
+            tried = []
+            if (G @ z_agg).max() < model and not self.seen(z_agg):
+                tried.append((self.evaluate(z_agg)[0], z_agg))
+            if (not self.certified(tol) and len(self.points) < cap
+                    and not self.seen(z_prox)):
+                tried.append((self.evaluate(z_prox)[0], z_prox))
+            if not tried:
+                stalls += 1
+                continue
+            stalls = 0
+            f_new, z_new = min(tried, key=lambda fz: fz[0])
+            predicted = f_centre - model
+            if f_new <= f_centre - _DESCENT * predicted:
+                if f_new <= f_centre - 0.5 * predicted:
+                    self.t *= 2.0
+                centre, f_centre = z_new, f_new
+            else:
+                self.t = max(0.5 * self.t, self.t0)
+            if len(self.cuts) > _MAX_CUTS:
+                self.lam = _compress(self, lam)
 
 
 def _newton_step(G: np.ndarray, t: float, jac: list, v: np.ndarray):
@@ -228,87 +295,25 @@ def solve_robust(
     nu: DiscreteMeasure,
     cost: CostMatrix,
     params: RobustParams,
-    initial_weights: Optional[tuple] = None,
 ) -> RobustSolution:
     """Robust OT value between two uniform empirical measures.
 
-    Starts from ``initial_weights``, projected onto each relaxed side's
-    feasible set (uniform weights when None), and runs the bundle method
-    until the bounds certify ``rel_tol`` or ``max_outer_iter`` LPs are
-    solved.  The value is the cost of the returned coupling, whose marginals
-    are the returned weights over m and n; the trace is the best value after
-    each LP, then the value.
+    Starts from uniform weights and runs the bundle method until the bounds
+    certify ``rel_tol`` or ``max_outer_iter`` LPs are solved.  The value is
+    the cost of the returned coupling, whose marginals are the returned
+    weights over m and n; the trace is the best value after each LP, then
+    the value.
     """
-    if not mu.is_uniform():
-        raise NonUniformInput("first measure must have uniform atom mass")
-    if not nu.is_uniform():
-        raise NonUniformInput("second measure must have uniform atom mass")
-    C = cost.entries
-    m, n = mu.n, nu.n
-    if C.shape != (m, n):
-        raise NonUniformInput(f"cost is {C.shape}, measures {m} x {n}")
-    init = (None, None) if initial_weights is None else initial_weights
-    z = np.ones(m + n)
-    sides = []  # (slice of z, radius, rho) of each relaxed side
-    for sl, rho, w0 in ((slice(0, m), params.rho1, init[0]),
-                        (slice(m, m + n), params.rho2, init[1])):
-        R = weight_radius(rho, sl.stop - sl.start)
-        if R > 0:
-            sides.append((sl, R, rho))
-            if w0 is not None:
-                z[sl] = project_simplex_ball(w0, rho)
-
-    tol, cap = params.rel_tol, params.max_outer_iter
-    bounds = _Bounds(C, m, n, sides)
-    centre = z
-    f_centre, z_oracle = bounds.evaluate(z)
-    # the first proximal step is as long as the step to the cut's minimiser
-    g = np.concatenate([bounds.cuts[0][sl] for sl, _, _ in sides] or [[]])
-    step = z_oracle - z
-    t = t0 = math.sqrt(step.dot(step)) / max(math.sqrt(g.dot(g)), 1e-300)
-    lam = np.ones(1)
-    stalls = 0
-    while (sides and not bounds.certified(tol) and len(bounds.points) < cap
-           and stalls < _MAX_STALLS):
-        G = np.array(bounds.cuts)
-        lam = np.concatenate((lam, np.zeros(len(G) - lam.size)))
-        # solve each master well inside the outer tolerance, and tighter
-        # after a master whose points were all solved already
-        tol_master = 1e-2 * tol * max(1.0, abs(f_centre)) * 0.1**stalls
-        lam, z_prox, v = _master(G, centre, t, lam, sides, tol_master)
-        model = float(v.max())  # the cut model's value at the proximal point
-        z_agg = bounds.bound(lam @ G)
-        if bounds.certified(tol):
-            break
-        tried = []
-        if (G @ z_agg).max() < model and not bounds.seen(z_agg):
-            tried.append((bounds.evaluate(z_agg)[0], z_agg))
-        if (not bounds.certified(tol) and len(bounds.points) < cap
-                and not bounds.seen(z_prox)):
-            tried.append((bounds.evaluate(z_prox)[0], z_prox))
-        if not tried:
-            stalls += 1
-            continue
-        stalls = 0
-        f_new, z_new = min(tried, key=lambda fz: fz[0])
-        predicted = f_centre - model
-        if f_new <= f_centre - _DESCENT * predicted:
-            if f_new <= f_centre - 0.5 * predicted:
-                t *= 2.0
-            centre, f_centre = z_new, f_new
-        else:
-            t = max(0.5 * t, t0)
-        if len(bounds.cuts) > _MAX_CUTS:
-            lam = _compress(bounds, lam)
-
-    z = bounds.z
+    bounds = _Bounds(mu, nu, cost)
+    bounds.run(params)
+    z, m = bounds.z, mu.n
     return RobustSolution(
         value=bounds.ub,
         w_x=WeightVector(z[:m], params.rho1),
         w_y=WeightVector(z[m:], params.rho2),
         coupling=bounds.coupling,
         trace=tuple(bounds.trace) + (bounds.ub,),
-        converged=bounds.certified(tol),
+        converged=bounds.certified(params.rel_tol),
         gap=max(0.0, float(bounds.ub - bounds.lb)),
     )
 
@@ -335,13 +340,12 @@ def solve_robust_one_sided(
     *,
     max_outer_iter: int = RobustParams.max_outer_iter,
     rel_tol: float = RobustParams.rel_tol,
-    initial_weights: Optional[tuple] = None,
 ) -> RobustSolution:
     """Robust OT with only the first marginal relaxed."""
     params = RobustParams(
         rho1=rho, rho2=0.0, max_outer_iter=max_outer_iter, rel_tol=rel_tol,
     )
-    return solve_robust(mu, nu, cost, params, initial_weights=initial_weights)
+    return solve_robust(mu, nu, cost, params)
 
 
 def brute_force_robust(

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from otrobust import analysis
+from otrobust import robust
 from otrobust.analysis import (
     ElbowResult,
     RhoCurve,
@@ -18,7 +18,7 @@ from otrobust.analysis import (
 from otrobust.errors import DomainError, TooFewPoints
 from otrobust.exact import solve_exact
 from otrobust.measures import cost_matrix, make_measure
-from otrobust.robust import solve_robust
+from otrobust.robust import RobustParams, solve_robust
 
 
 def test_bound_closed_forms():
@@ -103,7 +103,8 @@ def test_rho_curve_rejects_increase():
         RhoCurve(np.array([0.0, 0.1]), np.array([1.0, 1.5]))
 
 
-@pytest.mark.parametrize("grid", [[0.0, np.nan], [np.nan], [0.1, 0.0]])
+@pytest.mark.parametrize("grid",
+                         [[0.0, np.nan], [np.nan], [0.1, 0.0], []])
 def test_sweep_rejects_bad_grid(grid):
     mu = make_measure([[0.0], [1.0]])
     with pytest.raises(DomainError):
@@ -127,24 +128,34 @@ def test_sweep_identical_measures_all_zero():
 
 
 def test_sweep_monotone_and_bounded(monkeypatch):
+    """One bundle serves the whole grid; every point is within the sweep's
+    tolerance of a cold solve at that rho."""
     rng = np.random.default_rng(2)
     mu = make_measure(rng.random((4, 2)))
     nu = make_measure(rng.random((4, 2)))
     C = cost_matrix(mu, nu)
     exact = solve_exact(mu, nu, C).value
-    calls = []
+    models = []
+    model = robust.TransportModel
 
-    def counted(*args, **kwargs):
-        calls.append(args[3].rho1)
-        return solve_robust(*args, **kwargs)
+    def counted(*args):
+        models.append(model(*args))
+        return models[-1]
 
-    monkeypatch.setattr(analysis, "solve_robust", counted)
+    monkeypatch.setattr(robust, "TransportModel", counted)
     grid = np.linspace(0.0, 0.4, 6)
-    curve = sweep_rho(mu, nu, C, grid)
-    assert calls == grid.tolist()  # one solve per grid point
-    assert np.all(np.diff(curve.values) <= 1e-8)
+    rel_tol = 1e-5
+    curve = sweep_rho(mu, nu, C, grid, rel_tol=rel_tol)
+    assert len(models) == 1
+    assert curve.converged
+    assert np.all(np.diff(curve.values) <= 0)
     assert np.all(curve.values >= -1e-10)
     assert np.all(curve.values <= exact + 1e-8)
+    for r, v in zip(grid, curve.values):
+        cold = solve_robust(mu, nu, C, RobustParams(rho1=r))
+        assert cold.converged
+        assert abs(v - cold.value) <= rel_tol * max(1.0, v)
+    assert len(models) == 1 + grid.size
 
 
 def test_sweep_reports_convergence():

@@ -311,6 +311,23 @@ def test_sweep_with_elbow(clouds, capsys):
     assert doc["elbow"] is not None
 
 
+def test_readme_sweep_certifies_every_point(tmp_path, capsys):
+    """The README's sweep on its n=200 ring pair."""
+    a, b = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
+    gen = ["gen", "ring", "--modes", "4", "--n", "200"]
+    assert run([*gen, "--seed", "0", "--out", a]) == 0
+    assert run([*gen, "--seed", "1", "--rot", "0.785", "--out", b]) == 0
+    capsys.readouterr()
+    code, doc = run_json(
+        ["sweep", a, b, "--rho-grid", "0.001:0.3:12:log", "--elbow"], capsys
+    )
+    assert code == 0
+    assert doc["converged"] is True
+    assert len(doc["values"]) == 12
+    assert np.all(np.diff(doc["values"]) <= 0)
+    assert doc["elbow"] is not None and not doc["elbow"]["flat"]
+
+
 def test_sweep_without_certificate_exits_3(clouds, monkeypatch, capsys):
     sweep = cli.analysis.sweep_rho
 
@@ -327,6 +344,7 @@ def test_sweep_without_certificate_exits_3(clouds, monkeypatch, capsys):
 def test_bad_grid_spec(clouds, capsys):
     a, b = clouds
     assert run(["sweep", a, b, "--rho-grid", "nonsense"]) == 2
+    assert run(["sweep", a, b, "--rho-grid", "0.1:0.2:0"]) == 2  # no points
 
 
 def test_bound_command(capsys):
